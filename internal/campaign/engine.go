@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"greedy80211/internal/core"
 	"greedy80211/internal/experiments"
 	"greedy80211/internal/metrics"
 	"greedy80211/internal/runner"
@@ -100,35 +99,22 @@ func Run(ctx context.Context, spec *Spec, opt Options) (*Report, error) {
 	if logw == nil {
 		logw = io.Discard
 	}
-	expandStart := time.Now()
-	units, err := spec.Units()
-	if err != nil {
-		return nil, err
-	}
-	expandEnd := time.Now()
 	store := opt.Store
 	if store == nil {
+		var err error
 		if store, err = OpenStore(opt.StoreDir); err != nil {
 			return nil, err
 		}
 	}
-	journal, err := OpenJournal(store.JournalPath())
+	life, err := OpenLifecycle(store, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer journal.Close()
-	// The span log rides beside the journal: phase timings for every unit
-	// this process touches, renderable later by `campaign spans`. Span
-	// loss is never worth failing a run, so append errors are ignored;
-	// OpenSpanLog on an unjournaled store ("" path) yields a no-op log.
-	spans, err := OpenSpanLog(store.SpanPath())
+	defer life.Close()
+	units, err := life.Expand(spec, "expand")
 	if err != nil {
 		return nil, err
 	}
-	defer spans.Close()
-	spans.Append(Span{Unit: "expand", Phase: "expand",
-		StartUnixNs: expandStart.UnixNano(), EndUnixNs: expandEnd.UnixNano(),
-		Note: fmt.Sprintf("%d units", len(units))})
 
 	mine := units
 	if opt.Shards > 1 {
@@ -171,55 +157,31 @@ func Run(ctx context.Context, spec *Spec, opt Options) (*Report, error) {
 			prev, prevResult, perr := FindPrevious(store, u)
 			if perr == nil && prev.Key != "" {
 				if ok, why := opt.Screen(u, prev, prevResult); ok {
-					sr := Record{Op: "screened", Key: u.Key, Artifact: u.Artifact,
-						BaseSeed: u.BaseSeed, Prev: prev.Key, Note: why}
-					if err := journal.Append(sr); err != nil {
+					if err := life.Screened(u, prev, why); err != nil {
 						record(i, OutcomeFailed, err)
 						return nil
 					}
-					now := time.Now().UnixNano()
-					spans.Append(Span{Unit: u.Name(), Key: u.Key, Artifact: u.Artifact,
-						Phase: "screened", StartUnixNs: now, EndUnixNs: now, Note: why})
 					record(i, OutcomeScreened, nil)
 					return nil
 				}
 			}
 		}
-		jr := Record{Key: u.Key, Artifact: u.Artifact, BaseSeed: u.BaseSeed}
-		jr.Op = "start"
-		if err := journal.Append(jr); err != nil {
+		if err := life.Start(u); err != nil {
 			record(i, OutcomeFailed, err)
 			return nil
 		}
 		computeStart := time.Now()
 		result, metricsJSON, err := ComputeUnit(u)
 		computeEnd := time.Now()
-		spans.Append(Span{Unit: u.Name(), Key: u.Key, Artifact: u.Artifact, Phase: "compute",
-			StartUnixNs: computeStart.UnixNano(), EndUnixNs: computeEnd.UnixNano()})
+		life.Phase(u, "compute", "", computeStart, computeEnd, "")
 		if err != nil {
 			record(i, OutcomeFailed, fmt.Errorf("%s: %w", u.Name(), err))
 			return nil
 		}
-		meta := Meta{
-			Key:        u.Key,
-			Module:     core.ModuleFingerprint(),
-			Artifact:   u.Artifact,
-			Seeds:      u.Config.Seeds,
-			BaseSeed:   u.Config.BaseSeed,
-			DurationNs: int64(u.Config.Duration),
-			Quick:      u.Config.Quick,
-		}
-		if err := store.Put(meta, result, metricsJSON); err != nil {
+		if _, err := life.Commit(u, "", computeEnd, result, metricsJSON); err != nil {
 			record(i, OutcomeFailed, err)
 			return nil
 		}
-		jr.Op = "done"
-		if err := journal.Append(jr); err != nil {
-			record(i, OutcomeFailed, err)
-			return nil
-		}
-		spans.Append(Span{Unit: u.Name(), Key: u.Key, Artifact: u.Artifact, Phase: "commit",
-			StartUnixNs: computeEnd.UnixNano(), EndUnixNs: time.Now().UnixNano()})
 		record(i, OutcomeComputed, nil)
 		return nil
 	})

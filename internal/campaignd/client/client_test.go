@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"io/fs"
 	"net"
@@ -230,5 +231,90 @@ func TestWorkerFanOutEndToEnd(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotModified || len(body) != 0 {
 		t.Fatalf("warm result read: %d %q", resp2.StatusCode, body)
+	}
+}
+
+// TestLocalAndRemoteLifecyclesAgree runs one spec through the local
+// engine and through campaignd with a single Work loop. Both paths drive
+// units through the same campaign.Lifecycle, so the two stores must hold
+// the same result and metrics bytes, the same meta (bar its creation
+// time) and the same start/done journal history per unit.
+func TestLocalAndRemoteLifecyclesAgree(t *testing.T) {
+	spec := &campaign.Spec{
+		Artifacts: []string{"tab3", "fig1"},
+		BaseSeeds: []int64{1, 2},
+		Config:    campaign.SpecConfig{Seeds: 1, Duration: "100ms", Quick: true},
+	}
+	units, err := spec.Units()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	local, err := campaign.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := campaign.Run(context.Background(), spec, campaign.Options{Store: local})
+	if err != nil || len(rep.Failures) > 0 || rep.Computed != len(units) {
+		t.Fatalf("local run: %+v / %v", rep, err)
+	}
+
+	remote, err := campaign.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := campaignd.New(campaignd.Config{Store: remote, Logger: obs.LogfLogger(t.Logf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	c := &client.Client{BaseURL: ts.URL, Logger: obs.LogfLogger(t.Logf)}
+	doc, err := c.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wstats, err := c.Work(context.Background(), doc.ID, "solo")
+	ts.Close()
+	srv.Close()
+	if err != nil || wstats.Computed != len(units) {
+		t.Fatalf("work loop: %+v / %v", wstats, err)
+	}
+
+	ops := func(store *campaign.Store) map[string][]string {
+		t.Helper()
+		recs, err := campaign.ReadJournal(store.JournalPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]string)
+		for _, r := range recs {
+			out[r.Key] = append(out[r.Key], r.Op)
+		}
+		return out
+	}
+	localOps, remoteOps := ops(local), ops(remote)
+	for _, u := range units {
+		lm, lres, lmet, err := local.Get(u.Key)
+		if err != nil {
+			t.Fatalf("%s: local store: %v", u.Name(), err)
+		}
+		rm, rres, rmet, err := remote.Get(u.Key)
+		if err != nil {
+			t.Fatalf("%s: remote store: %v", u.Name(), err)
+		}
+		if string(lres) != string(rres) || string(lmet) != string(rmet) {
+			t.Errorf("%s: result or metrics bytes differ", u.Name())
+		}
+		lm.CreatedUnix, rm.CreatedUnix = 0, 0
+		if lm != rm {
+			t.Errorf("%s: meta differs:\nlocal  %+v\nremote %+v", u.Name(), lm, rm)
+		}
+		want := "start done"
+		if got := fmt.Sprint(localOps[u.Key]); got != "["+want+"]" {
+			t.Errorf("%s: local journal ops %s, want [%s]", u.Name(), got, want)
+		}
+		if got := fmt.Sprint(remoteOps[u.Key]); got != "["+want+"]" {
+			t.Errorf("%s: remote journal ops %s, want [%s]", u.Name(), got, want)
+		}
 	}
 }

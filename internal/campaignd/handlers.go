@@ -204,12 +204,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		s.stats.leasesExpired.Add(uint64(len(dead)))
 		now := s.now()
 		for _, l := range dead {
-			s.spans.Append(campaign.Span{
-				Unit: l.UnitName, Key: l.Unit.Key, Artifact: l.Unit.Artifact,
-				Phase: "lease", Worker: l.Worker,
-				StartUnixNs: l.Granted.UnixNano(), EndUnixNs: now.UnixNano(),
-				Note: "expired",
-			})
+			s.life.Phase(l.Unit, "lease", l.Worker, l.Granted, now, "expired")
 		}
 		s.logger.InfoContext(r.Context(), "leases expired; units re-issuable", "count", len(dead))
 	}
@@ -227,7 +222,11 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		if l == nil {
 			continue // live lease held by someone else
 		}
-		s.journal.Append(campaign.Record{Op: "start", Key: u.Key, Artifact: u.Artifact, BaseSeed: u.BaseSeed})
+		if err := s.life.Start(u); err != nil {
+			s.leases.Remove(l.ID)
+			writeErr(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
 		s.stats.leasesGranted.Add(1)
 		s.logger.InfoContext(obs.WithLeaseID(r.Context(), l.ID), "leased unit",
 			"unit", u.Name(), "key", u.Key[:12], "worker", req.Worker)
@@ -271,7 +270,12 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	leaseID := r.PathValue("id")
 	ctx := obs.WithLeaseID(r.Context(), leaseID)
-	l, live := s.leases.Remove(leaseID)
+	// The lease is held until the commit lands (or the upload is
+	// refused): a unit neither stored nor leased is grantable, so
+	// releasing it any earlier would let handleLease issue it again
+	// mid-commit.
+	l, live := s.leases.Lookup(leaseID)
+	defer s.leases.Remove(leaseID)
 	var unit campaign.Unit
 	switch {
 	case l != nil:
@@ -302,22 +306,12 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		worker = l.Worker
 	}
 	uploadEnd := s.now()
-	s.spans.Append(campaign.Span{
-		Unit: unit.Name(), Key: unit.Key, Artifact: unit.Artifact,
-		Phase: "upload", Worker: worker,
-		StartUnixNs: uploadStart.UnixNano(), EndUnixNs: uploadEnd.UnixNano(),
-	})
-	if err := s.store.Put(metaFor(unit, s.module), result, metrics); err != nil {
+	s.life.Phase(unit, "upload", worker, uploadStart, uploadEnd, "")
+	commitEnd, err := s.life.Commit(unit, worker, uploadEnd, result, metrics)
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	commitEnd := s.now()
-	s.spans.Append(campaign.Span{
-		Unit: unit.Name(), Key: unit.Key, Artifact: unit.Artifact,
-		Phase: "commit", Worker: worker,
-		StartUnixNs: uploadEnd.UnixNano(), EndUnixNs: commitEnd.UnixNano(),
-	})
-	s.journal.Append(campaign.Record{Op: "done", Key: unit.Key, Artifact: unit.Artifact, BaseSeed: unit.BaseSeed})
 	lost := l == nil || !live
 	if lost {
 		s.stats.lateCompletes.Add(1)
@@ -325,12 +319,8 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		s.stats.leasesCompleted.Add(1)
 	}
 	if l != nil {
-		s.spans.Append(campaign.Span{
-			Unit: unit.Name(), Key: unit.Key, Artifact: unit.Artifact,
-			Phase: "lease", Worker: l.Worker,
-			StartUnixNs: l.Granted.UnixNano(), EndUnixNs: commitEnd.UnixNano(),
-			Note: map[bool]string{true: "late", false: "completed"}[lost],
-		})
+		s.life.Phase(unit, "lease", l.Worker, l.Granted, commitEnd,
+			map[bool]string{true: "late", false: "completed"}[lost])
 		if !lost {
 			s.progress.unitCompleted(l.Worker, unit.Artifact, commitEnd.Sub(l.Granted))
 		}
@@ -358,12 +348,7 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	if st != nil {
 		count = s.recordFailure(st, l.Unit.Key)
 	}
-	s.spans.Append(campaign.Span{
-		Unit: l.UnitName, Key: l.Unit.Key, Artifact: l.Unit.Artifact,
-		Phase: "lease", Worker: l.Worker,
-		StartUnixNs: l.Granted.UnixNano(), EndUnixNs: s.now().UnixNano(),
-		Note: "failed: " + req.Error,
-	})
+	s.life.Phase(l.Unit, "lease", l.Worker, l.Granted, s.now(), "failed: "+req.Error)
 	s.logger.InfoContext(obs.WithLeaseID(r.Context(), l.ID), "worker failed unit",
 		"worker", l.Worker, "unit", l.UnitName, "attempt", count, "error", req.Error)
 	writeJSON(w, http.StatusOK, struct {

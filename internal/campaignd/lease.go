@@ -57,10 +57,9 @@ func (t *leaseTable) Sweep() []*Lease {
 	defer t.mu.Unlock()
 	now := t.now()
 	var dead []*Lease
-	for id, l := range t.byID {
+	for _, l := range t.byID {
 		if l.Deadline.Before(now) {
-			delete(t.byID, id)
-			delete(t.byKey, l.Unit.Key)
+			t.drop(l)
 			dead = append(dead, l)
 		}
 	}
@@ -113,6 +112,18 @@ func (t *leaseTable) Heartbeat(id string) (time.Duration, string, bool) {
 	return t.ttl, l.Worker, true
 }
 
+// Lookup returns the lease, if the table still has it, and whether it
+// is live.
+func (t *leaseTable) Lookup(id string) (*Lease, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	l, ok := t.byID[id]
+	if !ok {
+		return nil, false
+	}
+	return l, !l.Deadline.Before(t.now())
+}
+
 // Remove takes the lease out of the table (complete or fail), returning
 // it if it was still live.
 func (t *leaseTable) Remove(id string) (*Lease, bool) {
@@ -122,12 +133,18 @@ func (t *leaseTable) Remove(id string) (*Lease, bool) {
 	if !ok {
 		return nil, false
 	}
-	delete(t.byID, id)
-	delete(t.byKey, l.Unit.Key)
-	if l.Deadline.Before(t.now()) {
-		return l, false
+	t.drop(l)
+	return l, !l.Deadline.Before(t.now())
+}
+
+// drop unlinks l. The key index is left alone when it already names a
+// newer lease: Grant re-issues an expired key before Sweep collects the
+// old lease. Callers hold t.mu.
+func (t *leaseTable) drop(l *Lease) {
+	delete(t.byID, l.ID)
+	if t.byKey[l.Unit.Key] == l {
+		delete(t.byKey, l.Unit.Key)
 	}
-	return l, true
 }
 
 // HasKey reports whether a live lease holds the key.

@@ -82,6 +82,20 @@ func TestLeaseTableRemoveLiveVsExpired(t *testing.T) {
 	if got, live := lt.Remove(l2.ID); got == nil || live {
 		t.Fatalf("remove expired: %+v, live=%v", got, live)
 	}
+
+	// Removing an expired lease whose key was re-granted before any
+	// sweep leaves the new holder's lease in force.
+	old := lt.Grant("c1", leaseUnit("k3"), "u", "late")
+	clock.advance(11 * time.Second)
+	if lt.Grant("c1", leaseUnit("k3"), "u", "fresh") == nil {
+		t.Fatal("re-grant of an expired key")
+	}
+	if _, live := lt.Remove(old.ID); live {
+		t.Fatal("expired lease removed as live")
+	}
+	if !lt.HasKey("k3") {
+		t.Fatal("removing the expired lease released the fresh holder's key")
+	}
 }
 
 func TestLeaseTableSnapshotOldestFirst(t *testing.T) {

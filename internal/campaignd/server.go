@@ -58,8 +58,7 @@ type campaignState struct {
 type Server struct {
 	cfg      Config
 	store    *campaign.Store
-	journal  *campaign.Journal
-	spans    *campaign.SpanLog
+	life     *campaign.Lifecycle
 	leases   *leaseTable
 	stats    *serverStats
 	progress *progressTracker
@@ -79,12 +78,12 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// New builds a Server over an open store. The server appends to the
-// store's write-ahead journal (lease grants journal "start", commits
-// journal "done") and to its progress-span log, so `campaign status`
-// and `campaign spans` on the same store see what the server did. The
-// store's backend is re-wrapped with per-op metrics, so every
-// persistence call the server makes shows up on /metrics.
+// New builds a Server over an open store. The server drives units
+// through the same campaign.Lifecycle as a local run (lease grants
+// journal "start", commits journal "done" and record their spans), so
+// `campaign status` and `campaign spans` on the same store see what the
+// server did. The store's backend is re-wrapped with per-op metrics, so
+// every persistence call the server makes shows up on /metrics.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("campaignd: Config.Store is required")
@@ -106,21 +105,16 @@ func New(cfg Config) (*Server, error) {
 	if logger == nil {
 		logger = obs.Discard()
 	}
-	journal, err := campaign.OpenJournal(cfg.Store.JournalPath())
-	if err != nil {
-		return nil, err
-	}
-	spans, err := campaign.OpenSpanLog(cfg.Store.SpanPath())
-	if err != nil {
-		journal.Close()
-		return nil, err
-	}
 	stats := newServerStats(now(), core.ModuleFingerprint())
+	store := campaign.NewStore(newMeteredBackend(cfg.Store.Backend(), stats.reg), cfg.Store.JournalPath())
+	life, err := campaign.OpenLifecycle(store, now)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:       cfg,
-		store:     campaign.NewStore(newMeteredBackend(cfg.Store.Backend(), stats.reg), cfg.Store.JournalPath()),
-		journal:   journal,
-		spans:     spans,
+		store:     store,
+		life:      life,
 		leases:    newLeaseTable(cfg.LeaseTTL, now),
 		stats:     stats,
 		progress:  newProgressTracker(now),
@@ -167,13 +161,7 @@ func (s *Server) registerGauges() {
 }
 
 // Close releases the journal and span log. Safe after Serve returns.
-func (s *Server) Close() error {
-	err := s.journal.Close()
-	if serr := s.spans.Close(); err == nil {
-		err = serr
-	}
-	return err
-}
+func (s *Server) Close() error { return s.life.Close() }
 
 // Handler returns the service's HTTP surface: correlation-ID plumbing,
 // the access log, and route-normalized latency accounting wrap the
@@ -250,30 +238,24 @@ func (s *Server) DebugHandler() http.Handler {
 // the same id. It is both the POST /v1/campaigns implementation and the
 // programmatic preload hook cmd/campaignd's -spec flag uses.
 func (s *Server) Register(spec *campaign.Spec) (string, error) {
-	expandStart := s.now()
-	units, err := spec.Units()
-	if err != nil {
-		return "", err
-	}
-	expandEnd := s.now()
 	id := SpecID(spec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.campaigns[id]; !ok {
-		s.campaigns[id] = &campaignState{
-			id:       id,
-			spec:     spec,
-			units:    units,
-			failures: make(map[string]int),
-		}
-		s.order = append(s.order, id)
-		s.spans.Append(campaign.Span{
-			Unit: id, Phase: "expand",
-			StartUnixNs: expandStart.UnixNano(), EndUnixNs: expandEnd.UnixNano(),
-			Note: fmt.Sprintf("%d units", len(units)),
-		})
-		s.logger.Info("registered campaign", "campaign", id, "units", len(units))
+	if _, ok := s.campaigns[id]; ok {
+		return id, nil
 	}
+	units, err := s.life.Expand(spec, id)
+	if err != nil {
+		return "", err
+	}
+	s.campaigns[id] = &campaignState{
+		id:       id,
+		spec:     spec,
+		units:    units,
+		failures: make(map[string]int),
+	}
+	s.order = append(s.order, id)
+	s.logger.Info("registered campaign", "campaign", id, "units", len(units))
 	return id, nil
 }
 

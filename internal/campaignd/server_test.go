@@ -7,12 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"greedy80211/internal/campaign"
-	"greedy80211/internal/core"
 	"greedy80211/internal/obs"
 )
 
@@ -80,7 +81,7 @@ func TestServerBlobConditionalReads(t *testing.T) {
 	_, ts, store := newTestServer(t, 0, nil)
 	key := strings.Repeat("ab", 32)
 	result := []byte("{\n  \"id\": \"x\",\n  \"title\": \"t\"\n}\n")
-	if err := store.Put(campaign.Meta{Key: key, Artifact: "x"}, result, []byte("[]\n")); err != nil {
+	if err := store.Put(campaign.Unit{Key: key, Artifact: "x"}.Meta(), result, []byte("[]\n")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -341,6 +342,142 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 	}
 }
 
+// blockingBackend parks every Put until release is closed, signalling
+// entered when the first one arrives.
+type blockingBackend struct {
+	campaign.Backend
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingBackend) Put(name string, data []byte) error {
+	b.once.Do(func() { close(b.entered) })
+	<-b.release
+	return b.Backend.Put(name, data)
+}
+
+// A unit whose upload is mid-commit is neither stored nor free: while
+// worker A's complete is blocked inside the store write, worker B must
+// be told to wait, not handed A's unit a second time.
+func TestServerHoldsLeaseUntilCommitLands(t *testing.T) {
+	dir := t.TempDir()
+	inner, err := campaign.NewDirBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := &blockingBackend{Backend: inner, entered: make(chan struct{}), release: make(chan struct{})}
+	srv, err := New(Config{
+		Store:  campaign.NewStore(backend, filepath.Join(dir, "journal.jsonl")),
+		Logger: obs.LogfLogger(t.Logf),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+
+	var doc CampaignDoc
+	doJSON(t, "POST", ts.URL+"/v1/campaigns", testSpec(), &doc, 200)
+	var lr LeaseResponse
+	doJSON(t, "POST", ts.URL+"/v1/campaigns/"+doc.ID+"/lease", LeaseRequest{Worker: "A"}, &lr, 200)
+	if lr.Lease == nil {
+		t.Fatalf("lease A: %+v", lr)
+	}
+	unit, err := lr.Lease.Unit.Unit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, metrics, err := campaign.ComputeUnit(unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(CompleteRequest{Key: unit.Key, Result: string(result), Metrics: string(metrics)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/leases/"+lr.Lease.LeaseID+"/complete", "application/json", bytes.NewReader(body))
+		if err != nil {
+			completed <- -1
+			return
+		}
+		resp.Body.Close()
+		completed <- resp.StatusCode
+	}()
+	select {
+	case <-backend.entered:
+	case <-time.After(10 * time.Second):
+		close(backend.release)
+		t.Fatal("A's complete never reached the store")
+	}
+
+	var lrB LeaseResponse
+	doJSON(t, "POST", ts.URL+"/v1/campaigns/"+doc.ID+"/lease", LeaseRequest{Worker: "B"}, &lrB, 200)
+	close(backend.release)
+	if code := <-completed; code != http.StatusOK {
+		t.Fatalf("A's complete = %d, want 200", code)
+	}
+	if lrB.Lease != nil {
+		t.Fatalf("B was granted %s while A's commit was in flight", lrB.Lease.Unit.Name)
+	}
+	if lrB.Done || lrB.RetryAfterMs <= 0 {
+		t.Fatalf("B mid-commit: %+v, want a retry hint", lrB)
+	}
+	doJSON(t, "POST", ts.URL+"/v1/campaigns/"+doc.ID+"/lease", LeaseRequest{Worker: "B"}, &lrB, 200)
+	if !lrB.Done {
+		t.Fatalf("B after the commit: %+v, want done", lrB)
+	}
+}
+
+// A journal write error fails the unit: the lease endpoint refuses to
+// grant work it cannot journal, and a commit whose "done" record cannot
+// be written answers 500, exactly like a failed store write.
+func TestServerJournalErrorFailsUnit(t *testing.T) {
+	srv, ts, store := newTestServer(t, 0, nil)
+	var doc CampaignDoc
+	doJSON(t, "POST", ts.URL+"/v1/campaigns", testSpec(), &doc, 200)
+	var lr LeaseResponse
+	doJSON(t, "POST", ts.URL+"/v1/campaigns/"+doc.ID+"/lease", LeaseRequest{Worker: "w"}, &lr, 200)
+	if lr.Lease == nil {
+		t.Fatalf("lease: %+v", lr)
+	}
+	unit, err := lr.Lease.Unit.Unit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, metrics, err := campaign.ComputeUnit(unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv.Close() // every later journal append fails
+	var ed ErrorDoc
+	doJSON(t, "POST", ts.URL+"/v1/leases/"+lr.Lease.LeaseID+"/complete",
+		CompleteRequest{Key: unit.Key, Result: string(result), Metrics: string(metrics)}, &ed, 500)
+	if !strings.Contains(ed.Error, "journal") {
+		t.Errorf("complete error = %q, want the journal failure", ed.Error)
+	}
+	recs, err := campaign.ReadJournal(store.JournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Op == "done" {
+			t.Fatalf("journal holds a done record after the append failed: %+v", recs)
+		}
+	}
+
+	// A fresh unit cannot be leased without its start record.
+	doJSON(t, "POST", ts.URL+"/v1/campaigns", twoUnitSpec(), &doc, 200)
+	doJSON(t, "POST", ts.URL+"/v1/campaigns/"+doc.ID+"/lease", LeaseRequest{Worker: "w"}, &ed, 500)
+	doJSON(t, "GET", ts.URL+"/v1/campaigns/"+doc.ID, nil, &doc, 200)
+	if doc.Status.Leased != 0 {
+		t.Fatalf("a refused lease stayed in the table: %+v", doc.Status)
+	}
+}
+
 func TestServerVerdictsConditional(t *testing.T) {
 	_, ts, _ := newTestServer(t, 0, nil)
 	resp, err := http.Get(ts.URL + "/v1/verdicts")
@@ -394,7 +531,7 @@ func TestServerTraceRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(metaFor(u, core.ModuleFingerprint()), result, metrics); err != nil {
+	if err := store.Put(u.Meta(), result, metrics); err != nil {
 		t.Fatal(err)
 	}
 
@@ -456,8 +593,8 @@ func TestServerTraceRenders(t *testing.T) {
 	// A module-fingerprint mismatch refuses with 409: the render would
 	// not reproduce the stored result.
 	skewKey := strings.Repeat("0a", 32)
-	skewMeta := metaFor(u, "some-other-module")
-	skewMeta.Key = skewKey
+	skewMeta := u.Meta()
+	skewMeta.Key, skewMeta.Module = skewKey, "some-other-module"
 	if err := store.Put(skewMeta, result, metrics); err != nil {
 		t.Fatal(err)
 	}

@@ -90,9 +90,9 @@ type SubmitRequest = campaign.Spec
 // plus the shared status codec (the exact struct `campaign status -json`
 // prints).
 type CampaignDoc struct {
-	ID        string               `json:"id"`
-	Artifacts []string             `json:"artifacts"`
-	Status    *campaign.StatusDoc  `json:"status"`
+	ID        string              `json:"id"`
+	Artifacts []string            `json:"artifacts"`
+	Status    *campaign.StatusDoc `json:"status"`
 }
 
 // CampaignList is GET /v1/campaigns.
@@ -191,18 +191,4 @@ func SpecID(spec *campaign.Spec) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])[:16]
-}
-
-// metaFor builds the store meta document for a unit computed remotely.
-func metaFor(u campaign.Unit, module string) campaign.Meta {
-	cfg := u.Config.Normalize()
-	return campaign.Meta{
-		Key:        u.Key,
-		Module:     module,
-		Artifact:   u.Artifact,
-		Seeds:      cfg.Seeds,
-		BaseSeed:   cfg.BaseSeed,
-		DurationNs: int64(cfg.Duration),
-		Quick:      cfg.Quick,
-	}
 }

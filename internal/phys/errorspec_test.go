@@ -46,8 +46,8 @@ func TestErrorSpecValidate(t *testing.T) {
 }
 
 // TestErrorSpecModelsMatchLegacy pins the spec-built models to the exact
-// model values the deprecated scenario.Config fields used to construct,
-// so converting a call site cannot shift a single RNG draw.
+// model values the gated artifacts were first computed with, so no spec
+// can shift a single RNG draw.
 func TestErrorSpecModelsMatchLegacy(t *testing.T) {
 	em, rem, err := BERSpec(2e-4).Models()
 	if err != nil || rem != nil {

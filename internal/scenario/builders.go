@@ -39,21 +39,20 @@ type PairsConfig struct {
 	CBRRateBps float64
 	// PayloadBytes is the data packet size; zero means 1024.
 	PayloadBytes int
-	// ReceiverSpecs declaratively customizes receiver i's station (greedy
-	// policy, GRC, queue cap, position); missing indices are normal
-	// receivers. Specs are JSON-serializable, so campaign and topology
-	// specs can express greedy mixes without Go closures.
-	ReceiverSpecs []StationSpec
-	// SenderSpecs declaratively customizes sender i's station.
-	SenderSpecs []StationSpec
-	// ReceiverOpts customizes receiver i's station with a closure — the
-	// func-based wrapper around ReceiverSpecs for call sites that need
-	// Go values (custom policies, rate controllers). Mutually exclusive
-	// with ReceiverSpecs.
+	// ReceiverOpts customizes receiver i's station (greedy policy, GRC,
+	// rate controller, queue cap); nil builds normal receivers.
 	ReceiverOpts func(w *World, i int) StationOpts
 	// SenderOpts customizes sender i's station; usually nil (APs behave).
-	// Mutually exclusive with SenderSpecs.
 	SenderOpts func(w *World, i int) StationOpts
+}
+
+// optsFor resolves station i's options from a builder's customization
+// closure; a nil closure means a compliant station.
+func optsFor(w *World, i int, fn func(w *World, i int) StationOpts) StationOpts {
+	if fn == nil {
+		return StationOpts{}
+	}
+	return fn(w, i)
 }
 
 // BuildPairs constructs the world and its flows (flow IDs 1..n).
@@ -77,22 +76,14 @@ func BuildPairs(cfg PairsConfig) (*World, error) {
 	// is ≥10 dB stronger at its sender than any other pair's receiver —
 	// the regime in which GRC's capture-based spoof recovery is safe.
 	for i := 0; i < cfg.N; i++ {
-		def := phys.Position{X: 5, Y: float64(i) * 30}
-		opts, pos, err := stationFor(w, i, def, cfg.ReceiverSpecs, cfg.ReceiverOpts)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.AddStation(ReceiverName(i), pos, opts); err != nil {
+		pos := phys.Position{X: 5, Y: float64(i) * 30}
+		if _, err := w.AddStation(ReceiverName(i), pos, optsFor(w, i, cfg.ReceiverOpts)); err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < cfg.N; i++ {
-		def := phys.Position{X: 0, Y: float64(i) * 30}
-		opts, pos, err := stationFor(w, i, def, cfg.SenderSpecs, cfg.SenderOpts)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.AddStation(SenderName(i), pos, opts); err != nil {
+		pos := phys.Position{X: 0, Y: float64(i) * 30}
+		if _, err := w.AddStation(SenderName(i), pos, optsFor(w, i, cfg.SenderOpts)); err != nil {
 			return nil, err
 		}
 	}
@@ -118,10 +109,8 @@ type SharedAPConfig struct {
 	Transport    Transport
 	CBRRateBps   float64
 	PayloadBytes int
-	// ReceiverSpecs declaratively customizes receiver i; mutually
-	// exclusive with ReceiverOpts.
-	ReceiverSpecs []StationSpec
-	ReceiverOpts  func(w *World, i int) StationOpts
+	// ReceiverOpts customizes receiver i; nil builds normal receivers.
+	ReceiverOpts func(w *World, i int) StationOpts
 }
 
 // BuildSharedAP constructs the world; flow i+1 goes to receiver i. The
@@ -142,12 +131,8 @@ func BuildSharedAP(cfg SharedAPConfig) (*World, error) {
 		return nil, err
 	}
 	for i := 0; i < cfg.N; i++ {
-		def := phys.Position{X: 5, Y: float64(i) * 3}
-		opts, pos, err := stationFor(w, i, def, cfg.ReceiverSpecs, cfg.ReceiverOpts)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.AddStation(ReceiverName(i), pos, opts); err != nil {
+		pos := phys.Position{X: 5, Y: float64(i) * 3}
+		if _, err := w.AddStation(ReceiverName(i), pos, optsFor(w, i, cfg.ReceiverOpts)); err != nil {
 			return nil, err
 		}
 	}
@@ -169,14 +154,12 @@ func BuildSharedAP(cfg SharedAPConfig) (*World, error) {
 }
 
 // HiddenPairsConfig configures the fake-ACK collision topology — the
-// same Config-embedding shape as the other builders, with the usual
-// declarative/closure receiver customization pair.
+// same Config-embedding shape as the other builders.
 type HiddenPairsConfig struct {
 	Config
-	// ReceiverSpecs declaratively customizes receiver i (0 = R1, 1 = R2);
-	// mutually exclusive with ReceiverOpts.
-	ReceiverSpecs []StationSpec
-	ReceiverOpts  func(w *World, i int) StationOpts
+	// ReceiverOpts customizes receiver i (0 = R1, 1 = R2); nil builds
+	// normal receivers.
+	ReceiverOpts func(w *World, i int) StationOpts
 }
 
 // BuildHiddenPairs constructs the fake-ACK collision topology of Fig 18:
@@ -206,16 +189,10 @@ func BuildHiddenPairs(cfg HiddenPairsConfig) (*World, error) {
 	}
 	for i, p := range positions {
 		var opts StationOpts
-		def := phys.Position{X: p.x}
-		pos := def
 		if i < 2 {
-			var err error
-			opts, pos, err = stationFor(w, i, def, cfg.ReceiverSpecs, cfg.ReceiverOpts)
-			if err != nil {
-				return nil, err
-			}
+			opts = optsFor(w, i, cfg.ReceiverOpts)
 		}
-		if _, err := w.AddStation(p.name, pos, opts); err != nil {
+		if _, err := w.AddStation(p.name, phys.Position{X: p.x}, opts); err != nil {
 			return nil, err
 		}
 	}

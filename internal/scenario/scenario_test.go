@@ -129,7 +129,7 @@ func TestSpoofingDegradesNormalTCP(t *testing.T) {
 			Config: Config{
 				Seed:         seed,
 				UseRTSCTS:    true,
-				DefaultBER:   2e-4,
+				Error:        phys.BERSpec(2e-4),
 				ForceCapture: true,
 			},
 			N:         2,

@@ -24,8 +24,7 @@ const (
 
 // PolicySpec is the declarative, JSON-serializable description of a
 // (possibly greedy) receiver policy: a name plus the knobs the paper
-// sweeps. It replaces Go closures in builder configs so campaign and
-// topology specs can express greedy mixes as data. The zero value is a
+// sweeps, so topology specs can express greedy mixes as data. The zero value is a
 // compliant receiver.
 type PolicySpec struct {
 	// Name selects the misbehavior (PolicyNone, PolicyNAVInflation,
@@ -132,10 +131,10 @@ func (p PolicySpec) build(w *World) (mac.ReceiverPolicy, error) {
 	}
 }
 
-// StationSpec declaratively customizes one builder station — the
-// JSON-serializable counterpart of a ReceiverOpts/SenderOpts closure, so
-// campaign specs can express greedy mixes, GRC deployment, queue sizing,
-// and placement as data.
+// StationSpec declaratively customizes one BuildCells station — the
+// JSON-serializable counterpart of the other builders' ReceiverOpts and
+// SenderOpts closures, so topology specs can express greedy mixes, GRC
+// deployment, queue sizing, and placement as data.
 type StationSpec struct {
 	// Policy installs a (possibly greedy) receiver policy.
 	Policy PolicySpec `json:"policy,omitempty"`
@@ -165,28 +164,19 @@ func (s StationSpec) opts(w *World) (StationOpts, error) {
 	}, nil
 }
 
-// stationFor resolves station i's options and position during a build:
-// the declarative spec slice wins (missing indices are compliant
-// stations), the legacy closure is the func-based wrapper for existing
-// call sites, and setting both is a config error.
-func stationFor(w *World, i int, def phys.Position, specs []StationSpec,
-	fn func(w *World, i int) StationOpts) (StationOpts, phys.Position, error) {
-	if len(specs) > 0 && fn != nil {
-		return StationOpts{}, def, fmt.Errorf("scenario: set station specs or the opts callback, not both")
+// stationFor resolves station i's options and position during a
+// BuildCells build: indices past the spec slice are compliant stations
+// at the builder's default placement.
+func stationFor(w *World, i int, def phys.Position, specs []StationSpec) (StationOpts, phys.Position, error) {
+	if i >= len(specs) {
+		return StationOpts{}, def, nil
 	}
-	if i < len(specs) {
-		opts, err := specs[i].opts(w)
-		if err != nil {
-			return StationOpts{}, def, err
-		}
-		pos := def
-		if specs[i].Position != nil {
-			pos = *specs[i].Position
-		}
-		return opts, pos, nil
+	opts, err := specs[i].opts(w)
+	if err != nil {
+		return StationOpts{}, def, err
 	}
-	if fn != nil {
-		return fn(w, i), def, nil
+	if specs[i].Position != nil {
+		def = *specs[i].Position
 	}
-	return StationOpts{}, def, nil
+	return opts, def, nil
 }

@@ -67,13 +67,14 @@ func TestStationSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStationSpecMatchesClosure: a declarative spec world is byte-identical
-// to the equivalent closure-built world — the spec path is a pure data
-// encoding of the same construction order and RNG draws.
+// TestStationSpecMatchesClosure: a spec-built station is identical to the
+// equivalent hand-built one — the spec is a pure data encoding of the
+// same construction order and RNG draws.
 func TestStationSpecMatchesClosure(t *testing.T) {
-	goodputs := func(cfg PairsConfig) []float64 {
+	goodputs := func(opts func(w *World, i int) StationOpts) []float64 {
 		t.Helper()
-		w, err := BuildPairs(cfg)
+		w, err := BuildPairs(PairsConfig{Config: Config{Seed: 11, UseRTSCTS: true}, N: 3, Transport: UDP,
+			ReceiverOpts: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,16 +85,20 @@ func TestStationSpecMatchesClosure(t *testing.T) {
 		}
 		return out
 	}
-	base := Config{Seed: 11, UseRTSCTS: true}
-	closure := goodputs(PairsConfig{Config: base, N: 3, Transport: UDP,
-		ReceiverOpts: func(w *World, i int) StationOpts {
-			if i != 2 {
-				return StationOpts{}
-			}
-			return StationOpts{Policy: greedy.NewNAVInflation(w.Sched.RNG(), greedy.CTSAndACK, 10*sim.Millisecond, 100)}
-		}})
-	spec := goodputs(PairsConfig{Config: base, N: 3, Transport: UDP,
-		ReceiverSpecs: []StationSpec{{}, {}, {Policy: PolicySpec{Name: PolicyNAVInflation}}}})
+	closure := goodputs(func(w *World, i int) StationOpts {
+		if i != 2 {
+			return StationOpts{}
+		}
+		return StationOpts{Policy: greedy.NewNAVInflation(w.Sched.RNG(), greedy.CTSAndACK, 10*sim.Millisecond, 100)}
+	})
+	specs := []StationSpec{{}, {}, {Policy: PolicySpec{Name: PolicyNAVInflation}}}
+	spec := goodputs(func(w *World, i int) StationOpts {
+		opts, err := specs[i].opts(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return opts
+	})
 	if len(closure) != len(spec) {
 		t.Fatalf("flow counts differ: %d vs %d", len(closure), len(spec))
 	}
@@ -104,17 +109,16 @@ func TestStationSpecMatchesClosure(t *testing.T) {
 	}
 }
 
+// oneCell is a single-cell topology whose stations take specs.
+func oneCell(stations int, specs ...StationSpec) CellsConfig {
+	return CellsConfig{Config: Config{Seed: 1}, Transport: UDP, Topology: TopologySpec{
+		Cells: []CellSpec{{Stations: stations, StationSpecs: specs}},
+	}}
+}
+
 func TestStationSpecErrors(t *testing.T) {
-	// Specs and the closure together are a config error.
-	_, err := BuildPairs(PairsConfig{Config: Config{Seed: 1}, N: 1, Transport: UDP,
-		ReceiverSpecs: []StationSpec{{}},
-		ReceiverOpts:  func(w *World, i int) StationOpts { return StationOpts{} }})
-	if err == nil || !strings.Contains(err.Error(), "not both") {
-		t.Fatalf("specs+closure: err = %v", err)
-	}
 	// A spoofing victim that has not been added yet is reported.
-	_, err = BuildPairs(PairsConfig{Config: Config{Seed: 1}, N: 1, Transport: UDP,
-		ReceiverSpecs: []StationSpec{{Policy: PolicySpec{Name: PolicyACKSpoofing, Victims: []string{"nope"}}}}})
+	_, err := BuildCells(oneCell(1, StationSpec{Policy: PolicySpec{Name: PolicyACKSpoofing, Victims: []string{"nope"}}}))
 	if err == nil || !strings.Contains(err.Error(), "not added") {
 		t.Fatalf("missing victim: err = %v", err)
 	}
@@ -123,17 +127,21 @@ func TestStationSpecErrors(t *testing.T) {
 // TestStationSpecPositionOverride: a spec's Position replaces the
 // builder's default placement.
 func TestStationSpecPositionOverride(t *testing.T) {
-	w, err := BuildPairs(PairsConfig{Config: Config{Seed: 1}, N: 1, Transport: UDP,
-		ReceiverSpecs: []StationSpec{{Position: &phys.Position{X: 40, Y: 9}}}})
+	w, err := BuildCells(oneCell(2, StationSpec{Position: &phys.Position{X: 40, Y: 9}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := w.Station(ReceiverName(0))
+	st, ok := w.Station(CellStationName(0, 0))
 	if !ok {
-		t.Fatal("R1 missing")
+		t.Fatal("C1S1 missing")
 	}
 	pos, ok := w.Medium.Position(st.ID)
 	if !ok || pos.X != 40 || pos.Y != 9 {
-		t.Fatalf("R1 at %+v, want the spec's override", pos)
+		t.Fatalf("C1S1 at %+v, want the spec's override", pos)
+	}
+	// The station without a spec keeps its ring placement.
+	st, _ = w.Station(CellStationName(0, 1))
+	if pos, _ := w.Medium.Position(st.ID); pos.X != -DefaultCellRadius {
+		t.Fatalf("C1S2 at %+v, want the default ring slot", pos)
 	}
 }
