@@ -125,6 +125,17 @@ func TestRunScreened(t *testing.T) {
 	spec := screenSpec()
 	u := singleUnit(t, spec)
 	planted := plantPrevious(t, store, u, strings.Repeat("ab", 32), "prev-module", 100)
+	// An earlier run journaled a start for the unit and died before its
+	// done: the screening below is then the journal's latest word, so
+	// status must report the unit screened, not interrupted.
+	j, err := OpenJournal(store.JournalPath())
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	if err := j.Append(Record{Op: "start", Key: u.Key, Artifact: u.Artifact}); err != nil {
+		t.Fatalf("journal start: %v", err)
+	}
+	j.Close()
 
 	var sawPrev Meta
 	var sawResult []byte

@@ -132,6 +132,7 @@ func Status(spec *Spec, store *Store) ([]UnitStatus, error) {
 			delete(started, r.Key)
 		case "screened":
 			screened[r.Key] = true
+			delete(started, r.Key)
 		}
 	}
 	out := make([]UnitStatus, len(units))
@@ -141,7 +142,7 @@ func Status(spec *Spec, store *Store) ([]UnitStatus, error) {
 			Unit:     u,
 			Done:     done,
 			InFlight: !done && started[u.Key],
-			Screened: !done && !started[u.Key] && screened[u.Key],
+			Screened: !done && screened[u.Key],
 		}
 	}
 	return out, nil

@@ -3,12 +3,9 @@ package core
 import (
 	"context"
 	"errors"
-	"strings"
-	"sync"
 	"testing"
 
 	"greedy80211/internal/greedy"
-	"greedy80211/internal/mac"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/sim"
 )
@@ -84,24 +81,6 @@ func TestBaselineFairness(t *testing.T) {
 	}
 	if res.Goodput.GreedyMbps != 0 {
 		t.Error("greedy average nonzero without misbehavior")
-	}
-}
-
-func TestPoolReportWiring(t *testing.T) {
-	rep := new(scenario.PoolReport)
-	cfg := fast(Config{Seed: 1})
-	cfg.Pools = rep
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Worlds(); got != cfg.Runs {
-		t.Errorf("pool report folded %d worlds, want %d", got, cfg.Runs)
-	}
-	s := rep.String()
-	for _, want := range []string{"frames", "packets", "arrivals", "events"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("pool report missing %q:\n%s", want, s)
-		}
 	}
 }
 
@@ -181,31 +160,6 @@ func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := RunContext(ctx, fast(Config{Seed: 1})); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// cancelTap cancels a context from the first transmission of the first
-// run, so the cancellation lands mid-sweep: the in-flight run completes,
-// the check before the next run aborts.
-type cancelTap struct {
-	once   sync.Once
-	cancel context.CancelFunc
-}
-
-func (c *cancelTap) OnTransmit(_ mac.NodeID, _ *mac.Frame, _, _ sim.Time) {
-	c.once.Do(c.cancel)
-}
-func (c *cancelTap) OnReceive(mac.NodeID, *mac.Frame, mac.RxInfo, sim.Time) {}
-
-func TestRunContextCancelMidSweep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	tap := &cancelTap{cancel: cancel}
-	cfg := fast(Config{Seed: 1})
-	cfg.Runs = 4
-	cfg.Trace = tap // shared tap forces the sequential path
-	if _, err := RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

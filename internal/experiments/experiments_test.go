@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"greedy80211/internal/scenario"
 	"greedy80211/internal/sim"
 )
 
@@ -101,6 +102,29 @@ func TestFig1Quick(t *testing.T) {
 	// At zero inflation the two are comparable.
 	if nr.Points[0].Y < 0.5*gr.Points[0].Y {
 		t.Errorf("fig1 baseline unfair: %.2f vs %.2f", nr.Points[0].Y, gr.Points[0].Y)
+	}
+}
+
+// TestPoolReportWiring: RunConfig.Pools folds one pool-occupancy sample
+// per simulated world (fig1 builds one world per sweep point and seed)
+// and renders every pooled resource — the path behind
+// "experiments -metrics".
+func TestPoolReportWiring(t *testing.T) {
+	rep := new(scenario.PoolReport)
+	cfg := RunConfig{Quick: true, Seeds: 2, BaseSeed: 7, Pools: rep}
+	res, err := Run("fig1", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(res.Series[0].Series[0].Points) * cfg.Seeds
+	if got := rep.Worlds(); got != want {
+		t.Errorf("pool report folded %d worlds, want %d", got, want)
+	}
+	s := rep.String()
+	for _, name := range []string{"frames", "packets", "arrivals", "events"} {
+		if !strings.Contains(s, name) {
+			t.Errorf("pool report missing %q:\n%s", name, s)
+		}
 	}
 }
 

@@ -13,6 +13,11 @@
 // has full neighbor sets, making the scoped path a strict generalization
 // of the old broadcast-to-all delivery (Config.DisableNeighborScoping
 // keeps the legacy O(radios) scan for comparison; outputs are identical).
+//
+// Observers (a flight recorder, a passive DOMINO monitor) watch the air
+// through the Tap interface. They join a built medium with AddTap, any
+// number of them, and fire in attach order; with none attached the
+// delivery path only ranges over an empty slice.
 package medium
 
 import (
@@ -94,10 +99,6 @@ type Config struct {
 	// ACKs under the assumption that capture always resolves the
 	// two-simultaneous-ACKs case; this switch mirrors that assumption.
 	ForceCapture bool
-	// Tap observes every transmission and per-receiver outcome when
-	// non-nil (tracing, airtime accounting). It must not mutate frames.
-	// Further taps can join the fan-out after construction with AddTap.
-	Tap Tap
 	// Metrics, when non-nil, receives per-station transmit-airtime and
 	// channel-occupancy bumps at frame grant time — the always-on
 	// telemetry path (no tap required, plain counter arithmetic).
@@ -201,7 +202,7 @@ type Medium struct {
 	rng      *rand.Rand
 	radios   map[mac.NodeID]*radio
 	order    []*radio // deterministic iteration order
-	taps     []Tap    // fan-out list, seeded from cfg.Tap
+	taps     []Tap    // fan-out list, in AddTap order
 	arrivals *pool.Arena[arrival]
 	// topoGen counts topology mutations (radio added, position changed);
 	// each radio rebuilds its neighbor list lazily when its own topoGen
@@ -232,16 +233,13 @@ func New(sched *sim.Scheduler, cfg Config) (*Medium, error) {
 		radios: make(map[mac.NodeID]*radio),
 	}
 	m.arrivals = pool.NewArena[arrival](64, func(a *arrival) { a.m = m })
-	if cfg.Tap != nil {
-		m.taps = append(m.taps, cfg.Tap)
-	}
 	return m, nil
 }
 
-// AddTap appends a tap to the fan-out list. Taps fire in registration
-// order (the constructor's Config.Tap first); a flight recorder can join a
-// medium that already carries a detector tap. Call it before the
-// simulation runs.
+// AddTap appends a tap to the fan-out list and is the only way to attach
+// one. Any number of taps may join; they fire in registration order, so a
+// flight recorder added after a detector hears each event second. Call it
+// before the simulation runs.
 func (m *Medium) AddTap(t Tap) {
 	if t == nil {
 		panic("medium: AddTap with nil tap")

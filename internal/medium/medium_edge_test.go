@@ -2,6 +2,7 @@ package medium
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"greedy80211/internal/mac"
@@ -257,36 +258,55 @@ func TestTransmitValidation(t *testing.T) {
 	})
 }
 
-// tapRecorder counts tap callbacks for the medium-side contract.
+// tapRecorder counts tap callbacks for the medium-side contract and
+// appends its name to a shared log, so stacked taps can be checked for
+// firing order.
 type tapRecorder struct {
+	name   string
+	log    *[]string
 	tx, rx int
 	lastAt sim.Time
 }
 
-func (r *tapRecorder) OnTransmit(mac.NodeID, *mac.Frame, sim.Time, sim.Time) { r.tx++ }
+func (r *tapRecorder) OnTransmit(mac.NodeID, *mac.Frame, sim.Time, sim.Time) {
+	r.tx++
+	*r.log = append(*r.log, "tx:"+r.name)
+}
 func (r *tapRecorder) OnReceive(_ mac.NodeID, _ *mac.Frame, _ mac.RxInfo, at sim.Time) {
 	r.rx++
 	r.lastAt = at
+	*r.log = append(*r.log, "rx:"+r.name)
 }
 
+// TestMediumTapContract: every tap registered with AddTap hears every
+// transmission and reception outcome, and stacked taps fire in
+// registration order.
 func TestMediumTapContract(t *testing.T) {
-	cfg := DefaultConfig()
-	tap := &tapRecorder{}
-	cfg.Tap = tap
-	sched, m, _ := setupRaw(t, cfg, []phys.Position{
+	sched, m, _ := setupRaw(t, DefaultConfig(), []phys.Position{
 		{}, {X: 5}, {X: 0, Y: 5},
 	})
+	var log []string
+	first := &tapRecorder{name: "first", log: &log}
+	second := &tapRecorder{name: "second", log: &log}
+	m.AddTap(first)
+	m.AddTap(second)
 	air := 300 * sim.Microsecond
 	m.Transmit(1, dataFrame(1, 2, 1), air)
 	sched.Run()
-	if tap.tx != 1 {
-		t.Errorf("tap tx = %d, want 1", tap.tx)
+	for _, tap := range []*tapRecorder{first, second} {
+		if tap.tx != 1 {
+			t.Errorf("%s tap tx = %d, want 1", tap.name, tap.tx)
+		}
+		if tap.rx != 2 { // radios 2 and 3 both hear it
+			t.Errorf("%s tap rx = %d, want 2", tap.name, tap.rx)
+		}
+		// Arrival end = airtime + propagation delay (≤1 µs at these ranges).
+		if tap.lastAt < air || tap.lastAt > air+sim.Microsecond {
+			t.Errorf("%s tap rx time = %v, want ≈ frame end %v", tap.name, tap.lastAt, air)
+		}
 	}
-	if tap.rx != 2 { // radios 2 and 3 both hear it
-		t.Errorf("tap rx = %d, want 2", tap.rx)
-	}
-	// Arrival end = airtime + propagation delay (≤1 µs at these ranges).
-	if tap.lastAt < air || tap.lastAt > air+sim.Microsecond {
-		t.Errorf("tap rx time = %v, want ≈ frame end %v", tap.lastAt, air)
+	want := []string{"tx:first", "tx:second", "rx:first", "rx:second", "rx:first", "rx:second"}
+	if !slices.Equal(log, want) {
+		t.Errorf("tap firing order = %v, want %v", log, want)
 	}
 }

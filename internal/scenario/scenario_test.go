@@ -460,13 +460,14 @@ func TestSharedAPHeadOfLineBlocking(t *testing.T) {
 func TestTraceTapIntegration(t *testing.T) {
 	rec := trace.NewRecorder(64)
 	w, err := BuildPairs(PairsConfig{
-		Config:    Config{Seed: 29, UseRTSCTS: true, Trace: rec},
+		Config:    Config{Seed: 29, UseRTSCTS: true},
 		N:         2,
 		Transport: UDP,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.AttachTrace(rec, nil)
 	w.Run(sim.Second)
 
 	st := rec.Stats()
@@ -493,25 +494,6 @@ func TestTraceTapIntegration(t *testing.T) {
 	ratio := float64(a1) / float64(a2)
 	if ratio < 0.7 || ratio > 1.4 {
 		t.Errorf("airtime split %v vs %v (ratio %.2f)", a1, a2, ratio)
-	}
-}
-
-func TestMedianOverSeeds(t *testing.T) {
-	got, err := MedianOverSeeds(3, 100, 2*sim.Second, func(seed int64) (*World, error) {
-		return BuildPairs(PairsConfig{
-			Config:    Config{Seed: seed, UseRTSCTS: true},
-			N:         2,
-			Transport: UDP,
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1] <= 0 || got[2] <= 0 {
-		t.Errorf("medians = %v", got)
-	}
-	if _, err := MedianOverSeeds(0, 0, sim.Second, nil); err == nil {
-		t.Error("nSeeds 0 accepted")
 	}
 }
 

@@ -62,9 +62,6 @@ type Config struct {
 	DisableCapture bool
 	// QueueCap bounds every MAC queue; zero keeps the default of 50.
 	QueueCap int
-	// Trace attaches a channel tap recording every transmission and
-	// reception outcome when non-nil.
-	Trace medium.Tap
 	// ControlRateBps overrides the band's basic rate for control frames
 	// (RTS/CTS/ACK); zero keeps the default (1 Mbps on 802.11b). The
 	// control-rate ablation uses it.
@@ -215,7 +212,6 @@ func NewWorld(cfg Config) (*World, error) {
 	mcfg.DefaultError = em
 	mcfg.RateError = rem
 	mcfg.ForceCapture = cfg.ForceCapture
-	mcfg.Tap = cfg.Trace
 	mcfg.DisableNeighborScoping = cfg.DisableNeighborScoping || broadcastMediumForTest
 	reg := metrics.NewRegistry()
 	mcfg.Metrics = reg
@@ -514,12 +510,14 @@ type paramsSink interface {
 	SetParams(p phys.Params)
 }
 
-// AttachTrace wires a flight recorder into a fully built world: the tap
-// hears every channel event, the probe hears every station's MAC-internal
-// events. Either may be nil. If the tap or probe also implements
-// SetStationName/SetParams (trace.Recorder does), it learns the station
-// names and band timing for rendering and invariant checking. Call it
-// after the last AddStation and before Run.
+// AttachTrace wires an observer (a flight recorder, a DOMINO monitor)
+// into a fully built world and is the only way to do so: the tap hears
+// every channel event, the probe hears every station's MAC-internal
+// events. Either may be nil. Repeated calls stack; taps fire in attach
+// order. If the tap or probe also implements SetStationName/SetParams
+// (trace.Recorder does), it learns the station names and band timing for
+// rendering and invariant checking. Call it after the last AddStation and
+// before Run.
 func (w *World) AttachTrace(tap medium.Tap, probe mac.Probe) {
 	if tap != nil {
 		w.Medium.AddTap(tap)
