@@ -89,6 +89,14 @@ func TestSpecFileRoundTrip(t *testing.T) {
 	if got := run([]string{"run", "-spec", bad, "-store", store}); got != 2 {
 		t.Errorf("run with a misspelled spec field exited %d, want 2", got)
 	}
+	// So must a config that would run no worlds (it fails to expand).
+	neg := filepath.Join(dir, "neg.json")
+	if err := os.WriteFile(neg, []byte(`{"artifacts": ["tab3"], "config": {"seeds": -2, "duration": "-1s"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := run([]string{"run", "-spec", neg, "-store", store}); got != 1 {
+		t.Errorf("run with negative seeds and duration exited %d, want 1", got)
+	}
 }
 
 func TestShardedRunsCoverDisjointUnits(t *testing.T) {

@@ -6,7 +6,7 @@
 //	experiments -run fig1
 //	experiments -run all -quick
 //	experiments -run fig4,fig5 -seeds 5 -duration 5s
-//	experiments -artifact fig2 -metrics fig2_metrics.jsonl
+//	experiments -run fig2 -metrics fig2_metrics.jsonl
 //	experiments -run all -json out/ -metrics out/metrics.jsonl
 //	experiments -analytic fig2
 //
@@ -34,7 +34,6 @@ import (
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/sim"
 	"greedy80211/internal/stats"
-	"greedy80211/internal/trace"
 	"greedy80211/internal/versionflag"
 )
 
@@ -49,9 +48,8 @@ var runArtifact = experiments.Run
 func run(args []string) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		list     = fs.Bool("list", false, "list every artifact and exit")
-		id       = fs.String("run", "", "artifact id (fig1..fig24, tab1..tab9), comma-separated list, or \"all\"")
-		artifact = fs.String("artifact", "", "alias for -run")
+		list         = fs.Bool("list", false, "list every artifact and exit")
+		id           = fs.String("run", "", "artifact id (fig1..fig24, tab1..tab9), comma-separated list, or \"all\"")
 		analyticMode = fs.Bool("analytic", false,
 			"print the Markov-chain analytic tier's predictions for the artifact(s) instead of simulating (no sweep, milliseconds instead of minutes)")
 		seeds    = fs.Int("seeds", 0, "seeded repetitions per data point (default 5, paper methodology)")
@@ -64,11 +62,8 @@ func run(args []string) int {
 			"worker-pool size for (sweep-point × seed) fan-out; 1 = sequential (output is identical either way)")
 		metricsOut = fs.String("metrics", "",
 			"write a per-station telemetry sidecar to this file (.csv for CSV, else JSONL); identical for any -parallel value")
-		traceDir = fs.String("trace", "",
-			"attach a flight recorder to every world and write per-run JSONL traces + ASCII timelines into this directory; identical for any -parallel value")
-		traceCap = fs.Int("trace-cap", 0, "flight-recorder ring capacity in events per run (default 4096)")
-		version  = versionflag.Register(fs)
-		prof     = profileflags.Register(fs)
+		version = versionflag.Register(fs)
+		prof    = profileflags.Register(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -88,9 +83,6 @@ func run(args []string) int {
 			fmt.Printf("%-6s %s\n", reg.ID, reg.Title)
 		}
 		return 0
-	}
-	if *id == "" {
-		*id = *artifact
 	}
 	if *id == "" && fs.NArg() > 0 {
 		*id = strings.Join(fs.Args(), ",")
@@ -134,9 +126,6 @@ func run(args []string) int {
 			// byte-identical with pooling on or off.
 			cfg.Pools = new(scenario.PoolReport)
 		}
-		if *traceDir != "" {
-			cfg.Trace = trace.NewCollector(*traceCap)
-		}
 		res, err := runArtifact(art, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", art, err)
@@ -144,14 +133,6 @@ func run(args []string) int {
 			continue
 		}
 		fmt.Print(res.String())
-		if cfg.Trace != nil {
-			paths, err := trace.ExportDir(*traceDir, art, cfg.Trace.Recordings())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				return 1
-			}
-			fmt.Printf("%d trace files written to %s\n", len(paths), *traceDir)
-		}
 		if *csvDir != "" {
 			if err := writeCSVs(*csvDir, res); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)

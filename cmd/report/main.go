@@ -1,14 +1,14 @@
-// Command report is the reproduction gate: it regenerates the gated
-// artifacts (or reads them from a campaign store), joins every pinned
-// data point against the checked-in golden values in
+// Command report is the reproduction gate: it computes the gated
+// artifacts through a campaign store (or only reads them from one),
+// joins every pinned data point against the checked-in golden values in
 // internal/report/refdata/, and writes RESULTS.md plus an optional
 // verdicts.json. The exit status is the gate: nonzero when any check
 // fails or goes missing (and, with -strict, when any drifts).
 //
 // Usage:
 //
-//	report                             # fresh run, write RESULTS.md + verdicts.json
-//	report -store .report-store        # compute-through-cache, byte-identical on a warm store
+//	report                             # compute through a throwaway store, write RESULTS.md + verdicts.json
+//	report -store .report-store        # compute through a kept store, byte-identical on a warm store
 //	report -store s -no-compute        # CI read-only mode: a cold store gates as missing
 //	report -out - -verdicts ""         # report to stdout, no verdicts file
 //	report -refdata dir/               # override the embedded golden set (CI negative test)
@@ -40,7 +40,7 @@ func run(args []string) int {
 	var (
 		out          = fs.String("out", "RESULTS.md", "write the Markdown report here (\"-\" for stdout)")
 		verdicts     = fs.String("verdicts", "verdicts.json", "write machine-readable verdicts here (empty to skip)")
-		store        = fs.String("store", "", "campaign store directory; empty runs everything fresh")
+		store        = fs.String("store", "", "campaign store directory; empty computes through a temporary store removed on exit")
 		noComp       = fs.Bool("no-compute", false, "with -store: never simulate, gate on whatever the store holds")
 		refdata      = fs.String("refdata", "", "load golden values from this directory instead of the embedded set")
 		strict       = fs.Bool("strict", false, "drift verdicts gate too")
@@ -81,15 +81,19 @@ func run(args []string) int {
 		return runDocs(*docsPath, sets, *writeDoc)
 	}
 
-	var rep *report.Report
-	if *store != "" {
-		var st *campaign.Store
-		st, err = campaign.OpenStore(*store)
-		if err == nil {
-			rep, err = report.FromStore(context.Background(), sets, st, !*noComp, os.Stderr)
+	dir, compute := *store, !*noComp
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "report-store-"); err != nil {
+			fmt.Fprintf(os.Stderr, "report: %v\n", err)
+			return 1
 		}
-	} else {
-		rep, err = report.ComputeFresh(sets)
+		defer os.RemoveAll(dir)
+		compute = true
+	}
+	var rep *report.Report
+	st, err := campaign.OpenStore(dir)
+	if err == nil {
+		rep, err = report.FromStore(context.Background(), sets, st, compute, os.Stderr)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "report: %v\n", err)

@@ -88,3 +88,26 @@ func TestRunCheckDocsCurrent(t *testing.T) {
 		t.Fatalf("-check-docs exit %d, want 0 (run `go run ./cmd/report -write-docs`)", code)
 	}
 }
+
+// A storeless run computes through a temporary store; it must remove
+// that store before exiting, whether the gate passes or fails.
+func TestRunWithoutStoreLeavesNoTempStore(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want int
+	}{{quickBody, 0}, {tamperedBody, 1}} {
+		refdata, tmp := writeDir(t, tc.body), t.TempDir()
+		out := filepath.Join(t.TempDir(), "RESULTS.md")
+		t.Setenv("TMPDIR", tmp)
+		if code := runCLI(t, "-refdata", refdata, "-out", out, "-verdicts", "", "-bench", ""); code != tc.want {
+			t.Fatalf("exit %d, want %d", code, tc.want)
+		}
+		left, err := os.ReadDir(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Errorf("storeless run (exit %d) left %d entries in TMPDIR, first %q", tc.want, len(left), left[0].Name())
+		}
+	}
+}

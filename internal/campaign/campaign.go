@@ -48,7 +48,8 @@ type SpecConfig struct {
 	Quick    bool   `json:"quick,omitempty"`
 }
 
-// RunConfig converts the spec's config to an experiments.RunConfig.
+// RunConfig converts the spec's config to an experiments.RunConfig,
+// rejecting one that experiments.RunConfig.Validate refuses.
 func (sc SpecConfig) RunConfig() (experiments.RunConfig, error) {
 	cfg := experiments.RunConfig{
 		Seeds:    sc.Seeds,
@@ -61,6 +62,9 @@ func (sc SpecConfig) RunConfig() (experiments.RunConfig, error) {
 			return cfg, fmt.Errorf("campaign: spec duration: %w", err)
 		}
 		cfg.Duration = sim.Time(d.Nanoseconds())
+	}
+	if err := cfg.Validate(); err != nil {
+		return cfg, fmt.Errorf("campaign: spec config: %w", err)
 	}
 	return cfg, nil
 }

@@ -309,11 +309,13 @@ func TestUnitsDeterministicAndSeedCross(t *testing.T) {
 
 func TestSpecErrors(t *testing.T) {
 	for name, spec := range map[string]*Spec{
-		"empty":        {},
-		"unknown":      {Artifacts: []string{"fig999"}},
-		"dup artifact": {Artifacts: []string{"fig1", "fig1"}},
-		"dup seed":     {Artifacts: []string{"fig1"}, BaseSeeds: []int64{3, 3}},
-		"bad duration": {Artifacts: []string{"fig1"}, Config: SpecConfig{Duration: "nonsense"}},
+		"empty":             {},
+		"unknown":           {Artifacts: []string{"fig999"}},
+		"dup artifact":      {Artifacts: []string{"fig1", "fig1"}},
+		"dup seed":          {Artifacts: []string{"fig1"}, BaseSeeds: []int64{3, 3}},
+		"bad duration":      {Artifacts: []string{"fig1"}, Config: SpecConfig{Duration: "nonsense"}},
+		"negative seeds":    {Artifacts: []string{"fig1"}, Config: SpecConfig{Seeds: -2}},
+		"negative duration": {Artifacts: []string{"fig1"}, Config: SpecConfig{Duration: "-1s"}},
 	} {
 		if _, err := spec.Units(); err == nil {
 			t.Errorf("%s: Units() accepted an invalid spec", name)

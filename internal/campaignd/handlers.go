@@ -17,7 +17,6 @@ import (
 	"greedy80211/internal/experiments"
 	"greedy80211/internal/obs"
 	"greedy80211/internal/report"
-	"greedy80211/internal/sim"
 	"greedy80211/internal/trace"
 )
 
@@ -479,14 +478,12 @@ func (s *Server) renderTrace(key, format string) ([]byte, error) {
 				key[:12], meta.Module, s.module),
 		}
 	}
-	coll := trace.NewCollector(0)
-	rc := experiments.RunConfig{
-		Seeds:    meta.Seeds,
-		BaseSeed: meta.BaseSeed,
-		Duration: sim.Time(meta.DurationNs),
-		Quick:    meta.Quick,
-		Trace:    coll,
+	rc, err := meta.RunConfigSpec().RunConfig()
+	if err != nil {
+		return nil, err
 	}
+	coll := trace.NewCollector(0)
+	rc.Trace = coll
 	if _, err := experiments.Run(meta.Artifact, rc); err != nil {
 		return nil, fmt.Errorf("campaignd: tracing %s: %w", meta.Artifact, err)
 	}

@@ -164,6 +164,14 @@ func TestServerCampaignLifecycle(t *testing.T) {
 	if doc2.ID != doc.ID {
 		t.Fatalf("resubmit changed id: %q vs %q", doc2.ID, doc.ID)
 	}
+	// A config that would run no worlds is refused, not registered.
+	for _, cfg := range []campaign.SpecConfig{
+		{Seeds: -2},
+		{Duration: "-1s"},
+		{Seeds: -2, Duration: "-1s"},
+	} {
+		doJSON(t, "POST", ts.URL+"/v1/campaigns", &campaign.Spec{Artifacts: []string{"tab3"}, Config: cfg}, nil, 400)
+	}
 
 	// Lease the unit; the campaign now reports it leased.
 	var lr LeaseResponse

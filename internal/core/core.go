@@ -9,19 +9,17 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"greedy80211/internal/detect"
+	"greedy80211/internal/experiments"
 	"greedy80211/internal/greedy"
 	"greedy80211/internal/mac"
 	"greedy80211/internal/metrics"
 	"greedy80211/internal/phys"
-	"greedy80211/internal/runner"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/sim"
-	"greedy80211/internal/stats"
 	"greedy80211/internal/trace"
 )
 
@@ -180,12 +178,21 @@ func (c Config) withDefaults() Config {
 
 // Validate reports whether the configuration is runnable. Defaults are
 // applied before checking, so a zero value in a defaulted field (Pairs,
-// Runs, …) never fails; Run and RunContext call it, and callers may use
+// Runs, …) never fails; Run calls it, and callers may use
 // it to vet a configuration without running anything.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.Pairs < 1 {
 		return fmt.Errorf("core: need at least one pair, got %d", c.Pairs)
+	}
+	if c.Runs < 0 {
+		return fmt.Errorf("core: negative run count %d", c.Runs)
+	}
+	if c.Duration < 0 {
+		return fmt.Errorf("core: negative duration %v", c.Duration)
+	}
+	if c.GreedyReceivers < 0 {
+		return fmt.Errorf("core: negative greedy receiver count %d", c.GreedyReceivers)
 	}
 	if c.GreedyReceivers > c.Pairs {
 		return fmt.Errorf("core: %d greedy receivers exceed %d pairs", c.GreedyReceivers, c.Pairs)
@@ -266,43 +273,26 @@ func (c Config) buildWorld(seed int64, grcCfg *detect.Config) (*scenario.World, 
 	}
 }
 
-// Run executes the experiment and reports per-flow median goodput plus
-// the telemetry snapshot. It is RunContext without cancellation.
+// Run executes the experiment over cfg.Runs seeds (Seed, Seed+1, …) on
+// the shared experiments seed loop and reports per-flow median goodput,
+// the median GRC interventions and the seed-median telemetry snapshot.
 func Run(cfg Config) (Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext executes the experiment with cooperative cancellation: ctx
-// is checked between seeded runs (a simulated world, once started, runs
-// to completion), so cancelling stops the sweep at the next run boundary
-// and returns ctx.Err().
-func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	grcCfg := detect.DefaultConfig()
-	type runResult struct {
-		flows         map[int]float64
-		snap          *metrics.Snapshot
-		nav, spoofIgn float64
+	coll := metrics.NewCollector()
+	rc := experiments.RunConfig{
+		Seeds:    cfg.Runs,
+		BaseSeed: cfg.Seed - 1,
+		Duration: cfg.Duration,
+		Metrics:  coll,
+		Trace:    cfg.FlightRecorder,
 	}
-	oneRun := func(r int) (runResult, error) {
-		seed := cfg.Seed + int64(r)
-		w, err := cfg.buildWorld(seed, &grcCfg)
-		if err != nil {
-			return runResult{}, fmt.Errorf("core: building run %d: %w", r, err)
-		}
-		if cfg.FlightRecorder != nil {
-			rec := cfg.FlightRecorder.Start(seed)
-			w.AttachTrace(rec, rec)
-		}
-		w.Run(cfg.Duration)
-		res := runResult{flows: make(map[int]float64), snap: w.MetricsSnapshot()}
-		for _, fl := range w.Flows() {
-			res.flows[fl.ID] = fl.GoodputMbps(cfg.Duration)
-		}
-		if cfg.EnableGRC {
+	var extract func(w *scenario.World, m map[string]float64)
+	if cfg.EnableGRC {
+		extract = func(w *scenario.World, m map[string]float64) {
 			var nav, ign int64
 			for i := 0; i < cfg.Pairs; i++ {
 				for _, name := range []string{scenario.SenderName(i), scenario.ReceiverName(i)} {
@@ -312,46 +302,29 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 					}
 				}
 			}
-			res.nav = float64(nav)
-			res.spoofIgn = float64(ign)
+			m["nav"] = float64(nav)
+			m["spoof"] = float64(ign)
 		}
-		return res, nil
 	}
-	// Runs are independent deterministic worlds, so they execute on the
-	// runner pool.
-	runs, err := runner.MapContext(ctx, cfg.Runs, oneRun)
+	flows, mets, err := experiments.RunSeeds(rc, func(seed int64) (*scenario.World, error) {
+		return cfg.buildWorld(seed, &grcCfg)
+	}, extract)
 	if err != nil {
-		return Result{}, err
-	}
-	perFlow := make(map[int][]float64)
-	snaps := make([]*metrics.Snapshot, 0, len(runs))
-	var navCorr, spoofIgn []float64
-	for _, rr := range runs {
-		for id, v := range rr.flows {
-			perFlow[id] = append(perFlow[id], v)
-		}
-		snaps = append(snaps, rr.snap)
-		if cfg.EnableGRC {
-			navCorr = append(navCorr, rr.nav)
-			spoofIgn = append(spoofIgn, rr.spoofIgn)
-		}
+		return Result{}, fmt.Errorf("core: %w", err)
 	}
 	res := Result{
-		Metrics: metrics.MedianSnapshots(snaps),
-		GRC: GRCSummary{
-			NAVCorrections: stats.Median(navCorr),
-			SpoofsIgnored:  stats.Median(spoofIgn),
-		},
+		Metrics: coll.Snapshots()[0],
+		GRC:     GRCSummary{NAVCorrections: mets["nav"], SpoofsIgnored: mets["spoof"]},
 	}
-	ids := make([]int, 0, len(perFlow))
-	for id := range perFlow {
+	ids := make([]int, 0, len(flows))
+	for id := range flows {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	var gSum, nSum float64
 	var gN, nN int
 	for _, id := range ids {
-		med := stats.Median(perFlow[id])
+		med := flows[id]
 		isGreedy := cfg.Misbehavior != MisbehaviorNone && id > cfg.Pairs-cfg.GreedyReceivers
 		res.Flows = append(res.Flows, FlowResult{ID: id, Greedy: isGreedy, GoodputMbps: med})
 		if isGreedy {

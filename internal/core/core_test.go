@@ -1,13 +1,13 @@
 package core
 
 import (
-	"context"
-	"errors"
+	"slices"
 	"testing"
 
 	"greedy80211/internal/greedy"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/sim"
+	"greedy80211/internal/trace"
 )
 
 // fast trims a config for test runtime.
@@ -51,6 +51,12 @@ func TestValidation(t *testing.T) {
 			c.SharedAP = true
 		}},
 		{"fake acks without loss", func(c *Config) { c.Misbehavior = MisbehaviorFakeACKs }},
+		{"negative runs", func(c *Config) { c.Runs = -1 }},
+		{"negative duration", func(c *Config) { c.Duration = -sim.Second }},
+		{"negative greedy receivers", func(c *Config) {
+			c.Misbehavior = MisbehaviorNAVInflation
+			c.GreedyReceivers = -1
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -156,11 +162,19 @@ func TestFakeACKsHiddenEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRunContextPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunContext(ctx, fast(Config{Seed: 1})); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+// The flight recorder sees one world per run, seeded Seed … Seed+Runs-1:
+// core's Seed maps onto the shared seed loop's BaseSeed+1 … numbering.
+func TestFlightRecorderSeeds(t *testing.T) {
+	coll := trace.NewCollector(16)
+	if _, err := Run(Config{Seed: 11, Runs: 3, Duration: 100 * sim.Millisecond, FlightRecorder: coll}); err != nil {
+		t.Fatal(err)
+	}
+	var seeds []int64
+	for _, rec := range coll.Recordings() {
+		seeds = append(seeds, rec.Seed)
+	}
+	if want := []int64{11, 12, 13}; !slices.Equal(seeds, want) {
+		t.Errorf("recorded seeds %v, want %v", seeds, want)
 	}
 }
 

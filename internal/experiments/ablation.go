@@ -67,13 +67,13 @@ func runAbl1(cfg RunConfig) (*Result, error) {
 				},
 			})
 		}
-		base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return build(seed, false)
 		}, nil)
 		if err != nil {
 			return baseAttPoint{}, err
 		}
-		att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return build(seed, true)
 		}, nil)
 		return baseAttPoint{base, att}, err
@@ -109,7 +109,7 @@ func runAbl2(cfg RunConfig) (*Result, error) {
 	pts, err := sweep(thresholds, func(th float64) (thPoint, error) {
 		grcCfg := detect.DefaultConfig()
 		grcCfg.RSSIThresholdDB = th
-		flows, metrics, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, metrics, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return grcSpoofWorldWithConfig(seed, 4.4e-4, grcCfg)
 		}, func(w *scenario.World, m map[string]float64) {
 			s1, _ := w.Station("S1")
@@ -154,7 +154,7 @@ func runAbl3(cfg RunConfig) (*Result, error) {
 		}
 	}
 	rows, err := sweep(cases, func(c rowCase) (map[int]float64, error) {
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return scenario.BuildPairs(scenario.PairsConfig{
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, ControlRateBps: c.rate,

@@ -91,7 +91,7 @@ func runExtA(cfg RunConfig) (*Result, error) {
 				return greedy.NewFakeACKer(w.Sched.RNG(), 100)
 			}
 		}
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return autoratePairs(seed, scenario.UDP, c.arf, policy)
 		}, nil)
 		return flows, err
@@ -138,7 +138,7 @@ func runExtB(cfg RunConfig) (*Result, error) {
 				return greedy.NewACKSpoofer(w.Sched.RNG(), 100, r1.ID)
 			}
 		}
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return autoratePairs(seed, scenario.TCP, c.arf, policy)
 		}, nil)
 		return flows, err

@@ -53,6 +53,19 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
+// A seed count or duration that normalizes to a non-positive value runs
+// no worlds; Run must refuse it instead of returning a table of zeros.
+func TestRunRejectsNonPositiveConfig(t *testing.T) {
+	for name, cfg := range map[string]RunConfig{
+		"negative seeds":    {Seeds: -1},
+		"negative duration": {Quick: true, Duration: -sim.Second},
+	} {
+		if _, err := Run("fig1", cfg); err == nil {
+			t.Errorf("%s: Run accepted %+v", name, cfg)
+		}
+	}
+}
+
 func TestNormalizeDefaults(t *testing.T) {
 	c := RunConfig{}.Normalize()
 	if c.Seeds != DefaultSeeds || c.Duration != DefaultDuration {

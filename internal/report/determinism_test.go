@@ -29,20 +29,31 @@ func quickSets() []*RefSet {
 	}}
 }
 
-func renderFresh(t *testing.T, sets []*RefSet) string {
+// renderStore evaluates sets through store and renders the report.
+func renderStore(t *testing.T, sets []*RefSet, store *campaign.Store, compute bool) string {
 	t.Helper()
-	rep, err := ComputeFresh(sets)
+	rep, err := FromStore(context.Background(), sets, store, compute, io.Discard)
 	if err != nil {
-		t.Fatalf("ComputeFresh: %v", err)
+		t.Fatalf("FromStore(compute=%v): %v", compute, err)
 	}
 	var md strings.Builder
 	RenderMarkdown(&md, rep, nil)
 	return md.String()
 }
 
-// TestReportSequentialMatchesParallel pins the ISSUE acceptance
-// criterion: the rendered report is byte-identical whether artifacts
-// regenerate on one worker or many.
+// renderFresh computes sets through a new, empty store.
+func renderFresh(t *testing.T, sets []*RefSet) string {
+	t.Helper()
+	store, err := campaign.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderStore(t, sets, store, true)
+}
+
+// TestReportSequentialMatchesParallel: the rendered report is
+// byte-identical whether artifacts regenerate on one worker or many
+// (each width computes into its own cold store).
 func TestReportSequentialMatchesParallel(t *testing.T) {
 	sets := quickSets()
 	defer runner.SetLimit(runtime.GOMAXPROCS(0))
@@ -55,34 +66,23 @@ func TestReportSequentialMatchesParallel(t *testing.T) {
 	}
 }
 
-// TestReportStoreMatchesFresh pins the other half: a report computed
-// through a campaign store (cold, then warm — zero simulation) is
-// byte-identical to a storeless fresh run.
-func TestReportStoreMatchesFresh(t *testing.T) {
+// TestReportStoreColdWarmReadOnlyAgree: a report computed into a cold
+// store, recomputed over the warm store (all cache hits), and read back
+// without compute (zero simulation) is the same bytes each time.
+func TestReportStoreColdWarmReadOnlyAgree(t *testing.T) {
 	sets := quickSets()
-	fresh := renderFresh(t, sets)
-
 	store, err := campaign.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(compute bool) string {
-		rep, err := FromStore(context.Background(), sets, store, compute, io.Discard)
-		if err != nil {
-			t.Fatalf("FromStore(compute=%v): %v", compute, err)
-		}
-		var md strings.Builder
-		RenderMarkdown(&md, rep, nil)
-		return md.String()
+	cold := renderStore(t, sets, store, true)
+	warm := renderStore(t, sets, store, true)
+	read := renderStore(t, sets, store, false)
+	if warm != cold {
+		t.Error("warm-store report differs from cold-store report")
 	}
-	cold := render(true)
-	warm := render(true)  // all cache hits
-	read := render(false) // no-compute read of the warm store
-	if cold != fresh {
-		t.Error("cold-store report differs from fresh report")
-	}
-	if warm != cold || read != cold {
-		t.Error("warm-store or read-only report differs from cold-store report")
+	if read != cold {
+		t.Error("read-only report differs from cold-store report")
 	}
 }
 

@@ -6,11 +6,11 @@
 // The same evaluation backs the CI report-gate: any fail or missing
 // verdict (and, in strict mode, drift) makes cmd/report exit nonzero.
 //
-// Reports are deterministic end to end. Measurements come either from a
-// fresh run (ComputeFresh) or from a campaign store (FromStore); both
-// yield identical Results for the same profile, and rendering introduces
-// no timestamps or environment state beyond core.ModuleFingerprint —
-// so regenerating RESULTS.md from a warm store reproduces it
+// Reports are deterministic end to end. Measurements always come from a
+// campaign store (FromStore), computed into it on demand; a storeless
+// cmd/report run uses a throwaway one. Rendering introduces no
+// timestamps or environment state beyond core.ModuleFingerprint — so
+// regenerating RESULTS.md from a cold or a warm store reproduces it
 // byte-identically.
 package report
 
@@ -232,35 +232,6 @@ func predictions(artifact string) map[string]float64 {
 		return nil
 	}
 	return pred.Values
-}
-
-// ComputeFresh regenerates every gated artifact at the shared profile —
-// no store, no cache — and evaluates. This is the storeless cmd/report
-// path and the one the determinism tests exercise: its output is
-// byte-identical to FromStore over the same code.
-func ComputeFresh(sets []*RefSet) (*Report, error) {
-	cfg, err := SharedConfig(sets)
-	if err != nil {
-		return nil, err
-	}
-	base, err := cfg.RunConfig()
-	if err != nil {
-		return nil, err
-	}
-	results := make(map[string]*experiments.Result, len(sets))
-	snaps := make(map[string][]*metrics.Snapshot, len(sets))
-	for _, set := range sets {
-		coll := metrics.NewCollector()
-		rc := base
-		rc.Metrics = coll
-		res, err := experiments.Run(set.Artifact, rc)
-		if err != nil {
-			return nil, err
-		}
-		results[set.Artifact] = res
-		snaps[set.Artifact] = coll.Snapshots()
-	}
-	return Evaluate(sets, results, snaps)
 }
 
 // FromStore evaluates against an open campaign store (any Backend).
