@@ -5,9 +5,10 @@
 package analytic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // CWDist is a probability distribution over contention-window values (the
@@ -21,12 +22,11 @@ func (d CWDist) Normalize() error {
 	// Summing in sorted-support order keeps the result bit-identical
 	// across runs (map iteration order would perturb the last ulp).
 	var sum float64
-	for _, cw := range d.sortedCWs() {
-		p := d[cw]
-		if cw < 0 || p < 0 {
-			return fmt.Errorf("analytic: invalid CW entry %d -> %v", cw, p)
+	for _, e := range d.sorted() {
+		if e.cw < 0 || e.p < 0 {
+			return fmt.Errorf("analytic: invalid CW entry %d -> %v", e.cw, e.p)
 		}
-		sum += p
+		sum += e.p
 	}
 	if sum <= 0 {
 		return fmt.Errorf("analytic: empty CW distribution")
@@ -54,16 +54,25 @@ func FromSamples(samples []int) CWDist {
 // Single returns the distribution concentrated at one CW value.
 func Single(cw int) CWDist { return CWDist{cw: 1} }
 
-// sortedCWs returns the distribution's support in ascending order. Every
-// sum over a mixture iterates in this order so results are bit-identical
-// across runs — the report gate diffs model output byte-for-byte.
-func (d CWDist) sortedCWs() []int {
-	cws := make([]int, 0, len(d))
-	for cw := range d {
-		cws = append(cws, cw)
+// cwMass is one support point of a CW mixture: window cw carries
+// probability mass p.
+type cwMass struct {
+	cw int
+	p  float64
+}
+
+// sorted returns the mixture's support points in ascending-CW order.
+// Every sum over a mixture iterates in this order so results are
+// bit-identical across runs — the report gate diffs model output
+// byte-for-byte. Callers build the view once per distribution and reuse
+// it across the inner loops of the race.
+func (d CWDist) sorted() []cwMass {
+	s := make([]cwMass, 0, len(d))
+	for cw, p := range d {
+		s = append(s, cwMass{cw, p})
 	}
-	sort.Ints(cws)
-	return cws
+	slices.SortFunc(s, func(a, b cwMass) int { return cmp.Compare(a.cw, b.cw) })
+	return s
 }
 
 // backoffCDFAtLeast reports Pr[B ≥ x] for B uniform on [0..cw].
@@ -90,20 +99,20 @@ func backoffCDFAtMost(cw, x int) float64 {
 	}
 }
 
-// mixAtLeast reports Pr[B ≥ x] under a CW mixture.
-func mixAtLeast(d CWDist, x int) float64 {
+// mixAtLeast reports Pr[B ≥ x] under a sorted CW mixture.
+func mixAtLeast(d []cwMass, x int) float64 {
 	var p float64
-	for _, cw := range d.sortedCWs() {
-		p += d[cw] * backoffCDFAtLeast(cw, x)
+	for _, e := range d {
+		p += e.p * backoffCDFAtLeast(e.cw, x)
 	}
 	return p
 }
 
-// mixAtMost reports Pr[B ≤ x] under a CW mixture.
-func mixAtMost(d CWDist, x int) float64 {
+// mixAtMost reports Pr[B ≤ x] under a sorted CW mixture.
+func mixAtMost(d []cwMass, x int) float64 {
 	var p float64
-	for _, cw := range d.sortedCWs() {
-		p += d[cw] * backoffCDFAtMost(cw, x)
+	for _, e := range d {
+		p += e.p * backoffCDFAtMost(e.cw, x)
 	}
 	return p
 }
@@ -118,13 +127,14 @@ func SendProbabilities(gs, ns CWDist, vSlots int) (pGS, pNS float64, err error) 
 	if len(gs) == 0 || len(ns) == 0 {
 		return 0, 0, fmt.Errorf("analytic: empty CW distribution")
 	}
-	for cwGS, wGS := range gs {
-		for i := 0; i <= cwGS; i++ {
-			pI := wGS / float64(cwGS+1) // Pr[B_GS = i]
+	nsMix := ns.sorted()
+	for _, g := range gs.sorted() {
+		pI := g.p / float64(g.cw+1) // Pr[B_GS = i]
+		for i := 0; i <= g.cw; i++ {
 			// Eq 1: GS sends when B_GS ≤ B_NS + v + 1 ⇔ B_NS ≥ i − v − 1.
-			pGS += pI * mixAtLeast(ns, i-vSlots-1)
+			pGS += pI * mixAtLeast(nsMix, i-vSlots-1)
 			// Eq 2: NS sends when B_NS ≤ B_GS − v + 1 = i − v + 1.
-			pNS += pI * mixAtMost(ns, i-vSlots+1)
+			pNS += pI * mixAtMost(nsMix, i-vSlots+1)
 		}
 	}
 	return pGS, pNS, nil

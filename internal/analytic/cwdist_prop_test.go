@@ -3,6 +3,7 @@ package analytic
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -59,6 +60,90 @@ func TestCWDistNormalizeRejectsInvalid(t *testing.T) {
 	} {
 		if err := d.Normalize(); err == nil {
 			t.Errorf("%s distribution accepted", name)
+		}
+	}
+}
+
+// randomCWDist draws a normalized mixture over 1..12 distinct windows.
+func randomCWDist(t *testing.T, rng *rand.Rand) CWDist {
+	d := make(CWDist)
+	for n := 1 + rng.Intn(12); len(d) < n; {
+		d[rng.Intn(1024)] = rng.Float64() + 1e-3
+	}
+	if err := d.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// Property: the sorted view holds exactly the map's support points, and
+// its mixture CDFs equal, bit for bit, a reference that walks the map's
+// sorted keys and looks each mass up.
+func TestSortedViewMatchesMapReference(t *testing.T) {
+	refAtLeast := func(d CWDist, x int) float64 {
+		var p float64
+		for _, cw := range sortedKeys(d) {
+			p += d[cw] * backoffCDFAtLeast(cw, x)
+		}
+		return p
+	}
+	refAtMost := func(d CWDist, x int) float64 {
+		var p float64
+		for _, cw := range sortedKeys(d) {
+			p += d[cw] * backoffCDFAtMost(cw, x)
+		}
+		return p
+	}
+	rng := rand.New(rand.NewSource(0x50f7))
+	for trial := 0; trial < 200; trial++ {
+		d := randomCWDist(t, rng)
+		view := d.sorted()
+		keys := sortedKeys(d)
+		if len(view) != len(keys) {
+			t.Fatalf("trial %d: view has %d points, map %d", trial, len(view), len(keys))
+		}
+		for i, e := range view {
+			if e.cw != keys[i] || e.p != d[e.cw] {
+				t.Fatalf("trial %d: view[%d] = %+v, want {%d %v}", trial, i, e, keys[i], d[keys[i]])
+			}
+		}
+		maxCW := keys[len(keys)-1]
+		for x := -5; x <= maxCW+5; x++ {
+			if got, want := mixAtLeast(view, x), refAtLeast(d, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: mixAtLeast(x=%d) = %b, reference %b", trial, x, got, want)
+			}
+			if got, want := mixAtMost(view, x), refAtMost(d, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: mixAtMost(x=%d) = %b, reference %b", trial, x, got, want)
+			}
+		}
+	}
+}
+
+func sortedKeys(d CWDist) []int {
+	keys := make([]int, 0, len(d))
+	for cw := range d {
+		keys = append(keys, cw)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// The Equations 1–2 sums must not depend on map iteration order: Fig 3's
+// stored model series is built from them and diffed byte-for-byte.
+func TestSendProbabilitiesBitDeterministic(t *testing.T) {
+	gs := CWDist{31: 0.35, 63: 0.25, 127: 0.2, 255: 0.1, 511: 0.06, 1023: 0.04}
+	ns := CWDist{31: 0.5, 63: 0.3, 127: 0.15, 255: 0.05}
+	pGS0, pNS0, err := SendProbabilities(gs, ns, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 1; call < 100; call++ {
+		pGS, pNS, err := SendProbabilities(gs, ns, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(pGS) != math.Float64bits(pGS0) || math.Float64bits(pNS) != math.Float64bits(pNS0) {
+			t.Fatalf("call %d: (%b, %b), first call (%b, %b)", call, pGS, pNS, pGS0, pNS0)
 		}
 	}
 }

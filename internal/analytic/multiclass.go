@@ -3,6 +3,7 @@ package analytic
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"greedy80211/internal/phys"
 	"greedy80211/internal/sim"
@@ -173,8 +174,9 @@ func (m Model) exchangeTimes(c Class) (tSuccess, tCollision sim.Time) {
 // class and the pooled fair stations, returning the per-class factors by
 // which NAV inflation rescales transmission rates: the victims' factor is
 // pF(v)/pF(0), the rate at which any fair station still wins a contention
-// round relative to the fair race.
-func raceScales(classes []Class, chains []ChainResult) ([]float64, error) {
+// round relative to the fair race. sends is scratch space the caller
+// keeps across fixed-point sweeps for the race table.
+func raceScales(classes []Class, chains []ChainResult, sends *[]float64) ([]float64, error) {
 	scales := make([]float64, len(classes))
 	for i := range scales {
 		scales[i] = 1
@@ -188,15 +190,17 @@ func raceScales(classes []Class, chains []ChainResult) ([]float64, error) {
 	if g < 0 {
 		return scales, nil
 	}
-	// Pool the fair stations' CW mixtures, weighted by population.
+	// Pool the fair stations' CW mixtures, weighted by population. Each
+	// window receives one addition per class, in class order, so the
+	// map's iteration order cannot perturb the pooled masses.
 	fair := make(CWDist)
 	nFair := 0
 	for i, c := range classes {
 		if i == g || c.RaceExempt {
 			continue
 		}
-		for _, cw := range chains[i].Dist.sortedCWs() {
-			fair[cw] += chains[i].Dist[cw] * float64(c.N)
+		for cw, p := range chains[i].Dist {
+			fair[cw] += p * float64(c.N)
 		}
 		nFair += c.N
 	}
@@ -206,17 +210,26 @@ func raceScales(classes []Class, chains []ChainResult) ([]float64, error) {
 	if err := fair.Normalize(); err != nil {
 		return nil, err
 	}
+	// Some fair station sends when min(B_F) ≤ B_GS − v + 1 (Eq 2 with
+	// the head start v); the complement is every fair draw ≥ x = B_GS −
+	// v + 2. fairSends[x] tabulates 1 − Pr[B_F ≥ x]^nFair for x in
+	// 0..maxCW+1: Pr[B_F ≥ x] is the x = 0 sum for every x ≤ 0 and 0 for
+	// every x > maxCW, so a clamped lookup is the exact value of the call.
+	fairMix := fair.sorted()
+	n := fairMix[len(fairMix)-1].cw + 2
+	fairSends := slices.Grow((*sends)[:0], n)[:n]
+	*sends = fairSends
+	for x := range fairSends {
+		fairSends[x] = 1 - math.Pow(mixAtLeast(fairMix, x), float64(nFair))
+	}
+	greedy := chains[g].Dist.sorted()
 	// Round-win probabilities against the minimum of nFair fair draws.
 	pFairWins := func(v int) float64 {
 		var pF float64
-		for _, cwG := range chains[g].Dist.sortedCWs() {
-			wG := chains[g].Dist[cwG]
-			for i := 0; i <= cwG; i++ {
-				pI := wG / float64(cwG+1)
-				// Some fair station sends when min(B_F) ≤ B_GS − v + 1
-				// (Eq 2 with the head start v); the complement is every
-				// fair draw ≥ B_GS − v + 2.
-				term := 1 - math.Pow(mixAtLeast(fair, i-v+2), float64(nFair))
+		for _, e := range greedy {
+			pI := e.p / float64(e.cw+1)
+			for i := 0; i <= e.cw; i++ {
+				term := fairSends[min(max(i-v+2, 0), len(fairSends)-1)]
 				if term > 0 {
 					pF += pI * term
 				}
@@ -267,6 +280,7 @@ func (m Model) Solve() (*ModelResult, error) {
 	chains := make([]ChainResult, k)
 	tauEff := make([]float64, k)
 	scales := make([]float64, k)
+	var raceTable []float64
 
 	vuln := 1
 	if m.Hidden {
@@ -298,7 +312,7 @@ func (m Model) Solve() (*ModelResult, error) {
 			}
 			chains[i] = cr
 		}
-		sc, err := raceScales(m.Classes, chains)
+		sc, err := raceScales(m.Classes, chains, &raceTable)
 		if err != nil {
 			return 0, err
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"greedy80211/internal/analytic"
@@ -157,5 +159,87 @@ func TestPredictCalibration(t *testing.T) {
 					artifact, id, model, check.Want, delta, relErr*100)
 			}
 		}
+	}
+}
+
+// TestPredictGoldenBits pins every Predict value to bits recorded from
+// an earlier implementation of the model: a refactor of the Equations
+// 1–2 race or the chain solver that reorders a single float sum moves
+// the last ulp and fails here before it reaches RESULTS.md.
+func TestPredictGoldenBits(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "predict_values.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		want[f[0]+" "+f[1]] = f[2]
+	}
+	got := 0
+	for _, artifact := range analytic.PredictedArtifacts() {
+		pred, err := analytic.Predict(artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, v := range pred.Values {
+			key := artifact + " " + id
+			w, ok := want[key]
+			if !ok {
+				t.Errorf("%s: no golden value", key)
+				continue
+			}
+			got++
+			if b := fmt.Sprintf("%b", v); b != w {
+				t.Errorf("%s = %s (%v), golden %s", key, b, v, w)
+			}
+		}
+	}
+	if got != len(want) {
+		t.Errorf("Predict produced %d golden-covered values, golden file has %d", got, len(want))
+	}
+}
+
+// TestPredictAllocBudget is the allocation-budget gate on the model
+// tier: Predict over every artifact builds each CW mixture's sorted view
+// once per race evaluation and never per term. The pre-sorted model
+// allocates ~14k times per sweep, against ~1.3M when every term re-sorted
+// its mixture's support; the 50,000 budget catches that regressing.
+func TestPredictAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	const budget = 50000
+	avg := testing.AllocsPerRun(3, func() {
+		for _, artifact := range analytic.PredictedArtifacts() {
+			if _, err := analytic.Predict(artifact); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if avg > budget {
+		t.Errorf("Predict over all artifacts allocates %.0f allocs/op, budget %d", avg, budget)
+	}
+	t.Logf("allocs/op = %.0f (budget %d)", avg, budget)
+}
+
+// BenchmarkPredict times the model tier per artifact — the work the
+// warm report gate spends almost all its time in.
+func BenchmarkPredict(b *testing.B) {
+	for _, artifact := range analytic.PredictedArtifacts() {
+		b.Run(artifact, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := analytic.Predict(artifact); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
