@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"greedy80211/internal/pool"
@@ -29,8 +30,8 @@ type ArgHandler func(arg any)
 // pattern Timer follows by clearing its pointer before running the handler.
 type Event struct {
 	when      Time
-	seq       uint64 // tie-break: FIFO among same-time events
-	id        uint32 // slab slot, fixed at chunk allocation (see entry)
+	id        uint32 // slab slot, fixed at chunk allocation
+	next      uint32 // slab slot of the next event in the same bucket
 	cancelled bool
 	fn        Handler
 	argFn     ArgHandler // exactly one of fn/argFn is set
@@ -43,27 +44,14 @@ func (e *Event) When() Time { return e.when }
 // Cancelled reports whether Cancel was called on the event.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
-// entry is one heap slot. The ordering key (when, seq) is stored inline so
-// sift comparisons stay within the heap's own backing array instead of
-// chasing the event, and the event itself is referenced by its slab id
-// rather than a pointer: a pointer-free entry type means sift swaps issue
-// no GC write barriers and the GC never scans the heap slice. Both showed
-// up in profiles (pop was ~30% flat, with barrier flushes behind it).
-type entry struct {
-	when Time
-	seq  uint64
-	id   uint32
+// bucket is one level of the radix queue: a FIFO list of events threaded
+// through Event.next, from head to tail, and the earliest time in it.
+// Lists hold slab ids rather than pointers, so relinking issues no GC
+// write barriers.
+type bucket struct {
+	head, tail uint32
+	min        Time
 }
-
-// less orders entries by (when, seq): earliest first, FIFO among ties.
-func less(a, b entry) bool {
-	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
-}
-
-// heapArity is the fan-out of the implicit min-heap. A 4-ary heap is
-// shallower than a binary one (fewer cache lines touched per pop) and the
-// four-child scan stays within one or two lines of the entry slice.
-const heapArity = 4
 
 // eventChunkSize is how many Events each slab allocation holds. Event
 // pointers must stay stable, so events are allocated in fixed-size chunks
@@ -85,10 +73,25 @@ type eventSlab [eventChunkSize]Event
 // simulation's concurrency is virtual; independent Schedulers may run on
 // concurrent goroutines. A Scheduler also acts as the root of the
 // simulation's deterministic randomness (see RNG).
+//
+// The queue is a monotone radix queue. Every queued event is at or after
+// last, the time of the most recent redistribution (or the clock, when a
+// push finds the queue empty), and sits in bucket
+// bits.Len64(when ^ last): bucket 0 holds the events at exactly last, and
+// each higher bucket holds later events than every lower one. Popping
+// takes bucket 0's head; when bucket 0 is empty, the lowest non-empty
+// bucket is redistributed under its own minimum, which moves each of its
+// events to a strictly lower bucket. Events with equal times always share
+// a bucket, pushes append in schedule order and relinking is stable, so
+// events fire in exact (time, schedule order) without storing a sequence
+// number.
 type Scheduler struct {
 	now      Time
-	heap     []entry
-	seq      uint64
+	last     Time
+	buckets  [64]bucket
+	used     uint64 // bit i set iff buckets[i] is non-empty
+	pending  int
+	seq      uint64 // events ever scheduled
 	executed uint64
 	seed     int64
 	streams  int64
@@ -123,7 +126,7 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // Pending reports the number of events still queued (including cancelled
 // events not yet skipped).
-func (s *Scheduler) Pending() int { return len(s.heap) }
+func (s *Scheduler) Pending() int { return s.pending }
 
 // Stats reports the event slab's occupancy in the same shape the object
 // pools use: chunks grown, events currently queued (live), and freelist
@@ -192,11 +195,9 @@ func (s *Scheduler) At(t Time, fn Handler) *Event {
 	}
 	ev := s.alloc()
 	ev.when = t
-	ev.seq = s.seq
 	ev.cancelled = false
 	ev.fn = fn
-	s.push(entry{when: t, seq: s.seq, id: ev.id})
-	s.seq++
+	s.push(ev)
 	return ev
 }
 
@@ -212,12 +213,10 @@ func (s *Scheduler) AtCall(t Time, fn ArgHandler, arg any) *Event {
 	}
 	ev := s.alloc()
 	ev.when = t
-	ev.seq = s.seq
 	ev.cancelled = false
 	ev.argFn = fn
 	ev.arg = arg
-	s.push(entry{when: t, seq: s.seq, id: ev.id})
-	s.seq++
+	s.push(ev)
 	return ev
 }
 
@@ -246,87 +245,111 @@ func (s *Scheduler) Cancel(ev *Event) {
 // Halt stops Run/RunUntil after the currently executing event returns.
 func (s *Scheduler) Halt() { s.halted = true }
 
-// push appends e and sifts it up to its heap position.
-func (s *Scheduler) push(e entry) {
-	h := append(s.heap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !less(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+// push queues ev, whose time is not before now.
+func (s *Scheduler) push(ev *Event) {
+	if s.used == 0 {
+		// An empty queue may have drained cancelled events past now;
+		// restart the radix at now so every future push lands at or
+		// after last. A non-empty queue always has last ≤ now: last only
+		// moves to a bucket minimum that is about to fire or is no later
+		// than a RunUntil end, which the clock then reaches.
+		s.last = s.now
 	}
-	s.heap = h
+	s.used = s.link(ev, s.last, s.used)
+	s.pending++
+	s.seq++
 }
 
-// pop removes and returns the minimum entry. The caller must ensure the
-// heap is non-empty.
-func (s *Scheduler) pop() entry {
-	h := s.heap
-	min := h[0]
-	n := len(h) - 1
-	moved := h[n]
-	h = h[:n]
-	s.heap = h
-	if n > 0 {
-		// Sift moved down from the root, shifting smaller children up
-		// into the hole instead of swapping.
-		i := 0
-		for {
-			first := heapArity*i + 1
-			if first >= n {
-				break
+// link appends ev to the tail of its bucket under last, given and
+// returning the mask of non-empty buckets; redistribution keeps both in
+// registers across its loop.
+func (s *Scheduler) link(ev *Event, last Time, used uint64) uint64 {
+	i := bits.Len64(uint64(ev.when ^ last))
+	b := &s.buckets[i]
+	if used&(1<<i) == 0 {
+		b.head, b.tail, b.min = ev.id, ev.id, ev.when
+		return used | 1<<i
+	}
+	s.eventAt(b.tail).next = ev.id
+	b.tail = ev.id
+	if ev.when < b.min {
+		b.min = ev.when
+	}
+	return used
+}
+
+// next dequeues the earliest live event at or before limit, releasing
+// the cancelled events it passes. It returns nil, leaving later events
+// queued and last unmoved past limit, when there is none.
+func (s *Scheduler) next(limit Time) *Event {
+	for s.used != 0 {
+		if s.used&1 == 0 {
+			k := bits.TrailingZeros64(s.used)
+			b := s.buckets[k]
+			if b.min > limit {
+				return nil
 			}
-			m := first
-			end := first + heapArity
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if less(h[c], h[m]) {
-					m = c
+			// Redistribute bucket k under its minimum. Every event moves
+			// to a lower bucket, at least one of them to bucket 0, and
+			// the list is walked in order so ties stay FIFO. A lone
+			// event moves straight to bucket 0.
+			s.last = b.min
+			used := s.used &^ (1 << k)
+			if b.head == b.tail {
+				s.buckets[0] = b
+				used |= 1
+			} else {
+				for id := b.head; ; {
+					ev := s.eventAt(id)
+					nextID := ev.next
+					used = s.link(ev, b.min, used)
+					if id == b.tail {
+						break
+					}
+					id = nextID
 				}
 			}
-			if !less(h[m], moved) {
-				break
-			}
-			h[i] = h[m]
-			i = m
+			s.used = used
+		} else if s.last > limit {
+			return nil
 		}
-		h[i] = moved
-	}
-	return min
-}
-
-// step pops and executes the next event. It reports false when the queue is
-// exhausted.
-func (s *Scheduler) step() bool {
-	for len(s.heap) > 0 {
-		e := s.pop()
-		ev := s.eventAt(e.id)
-		if ev.cancelled {
-			s.release(ev)
-			continue
-		}
-		s.now = e.when
-		s.executed++
-		if fn := ev.fn; fn != nil {
-			fn()
+		b := &s.buckets[0]
+		ev := s.eventAt(b.head)
+		if b.head == b.tail {
+			s.used &^= 1
 		} else {
-			ev.argFn(ev.arg)
+			b.head = ev.next
+		}
+		s.pending--
+		if !ev.cancelled {
+			return ev
 		}
 		s.release(ev)
-		return true
 	}
-	return false
+	return nil
+}
+
+// fire advances the clock to ev, runs it and recycles it.
+func (s *Scheduler) fire(ev *Event) {
+	s.now = ev.when
+	s.executed++
+	if fn := ev.fn; fn != nil {
+		fn()
+	} else {
+		ev.argFn(ev.arg)
+	}
+	s.release(ev)
 }
 
 // Run executes events until the queue is empty or Halt is called.
 func (s *Scheduler) Run() {
 	s.halted = false
-	for !s.halted && s.step() {
+	for !s.halted {
+		ev := s.next(Never)
+		if ev == nil {
+			return
+		}
+		s.fire(ev)
 	}
 }
 
@@ -336,18 +359,11 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(end Time) {
 	s.halted = false
 	for !s.halted {
-		// Peek: the heap root is the earliest event. Drain cancelled
-		// events so the peek sees a live one.
-		for len(s.heap) > 0 && s.eventAt(s.heap[0].id).cancelled {
-			s.release(s.eventAt(s.pop().id))
-		}
-		if len(s.heap) == 0 {
+		ev := s.next(end)
+		if ev == nil {
 			break
 		}
-		if s.heap[0].when > end {
-			break
-		}
-		s.step()
+		s.fire(ev)
 	}
 	if s.now < end {
 		s.now = end

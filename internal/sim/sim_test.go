@@ -477,7 +477,7 @@ func BenchmarkSchedulerCancelHeavy(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkSchedulerFanout measures heap behavior at depth: a wide queue
+// BenchmarkSchedulerFanout measures queue behavior at depth: a wide queue
 // of pending events with steady pop/push turnover.
 func BenchmarkSchedulerFanout(b *testing.B) {
 	b.ReportAllocs()

@@ -3,8 +3,8 @@
 // deterministic random-number streams.
 //
 // The kernel is deliberately small. A simulation is a single goroutine that
-// pops timestamped events off a heap and executes their callbacks; callbacks
-// schedule further events. Determinism comes from (a) a total order on
+// pops timestamped events off a monotone radix queue and executes their
+// callbacks; callbacks schedule further events. Determinism comes from (a) a total order on
 // events (time, then insertion sequence) and (b) seeded RNG streams handed
 // out by the Scheduler.
 package sim
