@@ -207,20 +207,14 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		s.logger.InfoContext(r.Context(), "leases expired; units re-issuable", "count", len(dead))
 	}
-	remaining, failed := 0, 0
-	for _, u := range st.units {
-		if s.store.Has(u.Key) {
-			continue
-		}
-		if s.failureCount(st, u.Key) >= s.cfg.MaxUnitFailures {
-			failed++
-			continue
-		}
-		remaining++
-		l := s.leases.Grant(st.id, u, u.Name(), req.Worker)
-		if l == nil {
-			continue // live lease held by someone else
-		}
+	l, remaining, failed := s.nextGrant(st, req.Worker)
+	// Nothing grantable and nothing leased: confirm the cursor's bits
+	// against the store before answering done.
+	if l == nil && remaining == 0 && s.resyncStored(st) {
+		l, remaining, failed = s.nextGrant(st, req.Worker)
+	}
+	if l != nil {
+		u := l.Unit
 		if err := s.life.Start(u); err != nil {
 			s.leases.Remove(l.ID)
 			writeErr(w, http.StatusInternalServerError, "%v", err)
@@ -311,6 +305,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	s.setStored(unit.Key, true)
 	lost := l == nil || !live
 	if lost {
 		s.stats.lateCompletes.Add(1)

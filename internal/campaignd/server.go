@@ -44,13 +44,38 @@ type Config struct {
 }
 
 // campaignState is one registered campaign: the expanded deterministic
-// work-list plus per-unit failure counts. Units never change after
-// registration — the work-list is a pure function of the spec.
+// work-list, per-unit failure counts, and the grant cursor. Units never
+// change after registration — the work-list is a pure function of the
+// spec. failures, stored and next are guarded by Server.mu.
 type campaignState struct {
 	id       string
 	spec     *campaign.Spec
 	units    []campaign.Unit
 	failures map[string]int
+	// stored[i] is true once the server knows units[i]'s meta.json
+	// landed; next is the lowest index not known stored, so every unit
+	// before it is stored and a lease walk starts there.
+	stored []bool
+	next   int
+}
+
+// setStored sets unit i's stored bit and keeps next at the lowest index
+// not known stored. Callers hold Server.mu.
+func (st *campaignState) setStored(i int, stored bool) {
+	st.stored[i] = stored
+	if !stored {
+		st.next = min(st.next, i)
+		return
+	}
+	for st.next < len(st.stored) && st.stored[st.next] {
+		st.next++
+	}
+}
+
+// unitRef names one unit of one registered campaign.
+type unitRef struct {
+	st *campaignState
+	i  int
 }
 
 // Server is the campaign results service. Create with New, expose with
@@ -70,6 +95,7 @@ type Server struct {
 	mu        sync.Mutex
 	campaigns map[string]*campaignState
 	order     []string
+	byKey     map[string][]unitRef // every registered unit holding a key
 
 	refsOnce sync.Once
 	refsets  []*report.RefSet
@@ -122,6 +148,7 @@ func New(cfg Config) (*Server, error) {
 		now:       now,
 		logger:    logger,
 		campaigns: make(map[string]*campaignState),
+		byKey:     make(map[string][]unitRef),
 	}
 	s.registerGauges()
 	s.mux = s.routes()
@@ -248,11 +275,16 @@ func (s *Server) Register(spec *campaign.Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.campaigns[id] = &campaignState{
+	st := &campaignState{
 		id:       id,
 		spec:     spec,
 		units:    units,
 		failures: make(map[string]int),
+		stored:   make([]bool, len(units)),
+	}
+	s.campaigns[id] = st
+	for i, u := range units {
+		s.byKey[u.Key] = append(s.byKey[u.Key], unitRef{st, i})
 	}
 	s.order = append(s.order, id)
 	s.logger.Info("registered campaign", "campaign", id, "units", len(units))
@@ -265,13 +297,7 @@ func (s *Server) campaignByID(id string) *campaignState {
 	return s.campaigns[id]
 }
 
-// failureCount and recordFailure guard the per-unit failure ledger.
-func (s *Server) failureCount(st *campaignState, key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return st.failures[key]
-}
-
+// recordFailure counts one worker-reported failure of key.
 func (s *Server) recordFailure(st *campaignState, key string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -284,14 +310,83 @@ func (s *Server) recordFailure(st *campaignState, key string) int {
 func (s *Server) unitByKey(key string) (campaign.Unit, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, st := range s.campaigns {
-		for _, u := range st.units {
-			if u.Key == key {
-				return u, true
-			}
+	refs := s.byKey[key]
+	if len(refs) == 0 {
+		return campaign.Unit{}, false
+	}
+	return refs[0].st.units[refs[0].i], true
+}
+
+// setStored records whether key's entry is in the store, for every
+// registered unit that holds the key.
+func (s *Server) setStored(key string, stored bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range s.byKey[key] {
+		r.st.setStored(r.i, stored)
+	}
+}
+
+// standing reads what the cursor knows of unit i of st: whether it is
+// known stored and how many failures it has.
+func (s *Server) standing(st *campaignState, i int) (stored bool, failures int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return st.stored[i], st.failures[st.units[i].Key]
+}
+
+// nextGrant walks st's work-list from its cursor and leases worker the
+// first unit that is neither stored, leased nor retired. A unit known
+// stored or under a live lease costs no store access; every other unit
+// costs one Stat, which either finds the entry (another writer, such as
+// a local `campaign run` on the same store, committed it) or clears the
+// unit for the grant. remaining counts the units still to be computed,
+// the granted one included; failed counts the retired ones.
+func (s *Server) nextGrant(st *campaignState, worker string) (l *Lease, remaining, failed int) {
+	s.mu.Lock()
+	i := st.next
+	s.mu.Unlock()
+	for ; i < len(st.units); i++ {
+		u := st.units[i]
+		stored, failures := s.standing(st, i)
+		switch {
+		case stored:
+			continue
+		case s.leases.HasKey(u.Key):
+			remaining++
+			continue
+		case failures >= s.cfg.MaxUnitFailures:
+			failed++
+			continue
+		case s.store.Has(u.Key):
+			s.setStored(u.Key, true)
+			continue
+		}
+		remaining++
+		if l := s.leases.Grant(st.id, u, u.Name(), worker); l != nil {
+			return l, remaining, failed
+		}
+		// A concurrent walk granted the unit between the checks above.
+	}
+	return nil, remaining, failed
+}
+
+// resyncStored re-checks every unit of st against the store, once, and
+// reports whether any stored bit changed. It runs only when the walk
+// would answer done: an entry the cursor counted may have gone (a
+// `campaign gc` under another spec), and a retired unit may have been
+// committed by another writer since. Either way done must not be
+// answered from stale bits.
+func (s *Server) resyncStored(st *campaignState) bool {
+	changed := false
+	for i, u := range st.units {
+		has := s.store.Has(u.Key)
+		if stored, _ := s.standing(st, i); stored != has {
+			s.setStored(u.Key, has)
+			changed = true
 		}
 	}
-	return campaign.Unit{}, false
+	return changed
 }
 
 // statusDoc builds the shared status codec for one campaign, overlaying

@@ -69,15 +69,17 @@ func (w WireUnit) Unit() (campaign.Unit, error) {
 
 // VerifyKey re-derives the unit's content address with the local
 // binary's module fingerprint and compares it to the server's. An error
-// means this process must not compute the unit.
+// means this process must not compute the unit. The server's key is
+// wire data of any length and content, so the message quotes at most
+// its first 12 characters.
 func (w WireUnit) VerifyKey() error {
 	u, err := w.Unit()
 	if err != nil {
 		return err
 	}
 	if got := campaign.Key(u.Artifact, u.Config); got != w.Key {
-		return fmt.Errorf("campaignd: unit %s: local key %s != server key %s (module fingerprint or format skew; rebuild the worker from the server's commit)",
-			w.Name, got[:12], w.Key[:12])
+		return fmt.Errorf("campaignd: unit %s: local key %.12q != server key %.12q (module fingerprint or format skew; rebuild the worker from the server's commit)",
+			w.Name, got, w.Key)
 	}
 	return nil
 }
